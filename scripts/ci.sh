@@ -23,6 +23,11 @@
 #   6. a perf sanity pass: `python -m repro bench --repeats 1` (single
 #      repeat — a smoke that the measured hot paths still run, not a
 #      stable throughput number; scripts/bench.sh records those)
+#   7. the software-CT sweep smoke: `python3 perfbench/run.py --workload
+#      ct-sweep --seconds 1` — an exit-status check only: every Table-2
+#      output at the large-DS points must equal the workload's
+#      reference() and the simulated counters must repeat exactly
+#      across passes; the timings it prints are not checked
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -58,5 +63,8 @@ python scripts/repair_smoke.py
 
 echo "== perf smoke (python -m repro bench --repeats 1)"
 python -m repro bench --repeats 1
+
+echo "== software-CT sweep smoke (perfbench/run.py --workload ct-sweep)"
+python3 perfbench/run.py --workload ct-sweep --seconds 1
 
 echo "== CI gate passed"

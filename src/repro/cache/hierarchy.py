@@ -29,15 +29,13 @@ from repro.memory.dram import DRAM
 class AccessResult:
     """Outcome of one line access through the hierarchy."""
 
-    __slots__ = ("latency", "hit_level", "filled")
+    __slots__ = ("latency", "hit_level")
 
-    def __init__(self, latency: int, hit_level: Optional[str], filled: bool):
+    def __init__(self, latency: int, hit_level: Optional[str]):
         #: cycles spent on this access (sum of levels touched)
         self.latency = latency
         #: name of the level that hit, or None for a DRAM access
         self.hit_level = hit_level
-        #: whether any cache fill happened
-        self.filled = filled
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Access {self.hit_level or 'DRAM'} {self.latency}cy>"
@@ -135,11 +133,11 @@ class CacheHierarchy:
         first = self.levels[start_level]
         line = first.access(line_addr, update_replacement, observable)
         if line is not None:
-            return AccessResult(first.latency, first.name, False)
-        extra, hit_level, filled = self.read_miss_fill(
+            return AccessResult(first.latency, first.name)
+        extra, hit_level = self.read_miss_fill(
             line_addr, start_level, update_replacement, observable, _is_prefetch
         )
-        return AccessResult(first.latency + extra, hit_level, filled)
+        return AccessResult(first.latency + extra, hit_level)
 
     def read_miss_fill(
         self,
@@ -151,15 +149,14 @@ class CacheHierarchy:
     ):
         """Continue a read whose start-level miss is already recorded.
 
-        This is the miss half of :meth:`read_line`, exposed so batched
-        callers (``read_lines`` and the machine's fused RMW kernel) can
-        probe the start level themselves and only fall into this walk
-        on a miss.  Returns ``(extra_latency, hit_level, filled)`` where
+        This is the miss half of :meth:`read_line`, exposed so callers
+        that probe the start level themselves (``read_lines``, and the
+        machine's scalar and batched accesses) only fall into this walk
+        on a miss.  Returns ``(extra_latency, hit_level)`` where
         ``extra_latency`` excludes the start level's own latency.
         """
         levels = self.levels
         latency = 0
-        filled = False
         for i in range(start_level + 1, len(levels)):
             cache = levels[i]
             latency += cache.latency
@@ -167,14 +164,13 @@ class CacheHierarchy:
             if line is not None:
                 for j in range(i - 1, start_level - 1, -1):
                     latency += self._fill_level(j, line_addr, dirty=False)
-                    filled = True
-                return latency, cache.name, filled
+                return latency, cache.name
         latency += self.dram.read_line(line_addr)
         for j in range(len(levels) - 1, start_level - 1, -1):
             latency += self._fill_level(j, line_addr, dirty=False)
         if self.prefetcher is not None and not _is_prefetch:
             self.prefetcher.on_demand_miss(line_addr, start_level)
-        return latency, None, True
+        return latency, None
 
     def read_lines(
         self,
@@ -189,15 +185,19 @@ class CacheHierarchy:
         Observationally identical to the scalar loop: hit runs are
         processed inside the start level's ``access_lines`` (locals
         bound once per run), and each miss falls back to the exact
-        scalar miss walk before the batch resumes.
+        scalar miss walk before the batch resumes.  ``set_indices``
+        (start-level set indices aligned with ``line_addrs``) is
+        computed once per batch when not supplied.
         """
         first = self.levels[start_level]
+        if set_indices is None:
+            set_indices = first.set_indices(line_addrs)
         n = len(line_addrs)
         latencies = [first.latency] * n
         access_lines = first.access_lines
         i = access_lines(line_addrs, 0, update_replacement, observable, set_indices)
         while i < n:
-            extra, _hit_level, _filled = self.read_miss_fill(
+            extra, _hit_level = self.read_miss_fill(
                 line_addrs[i], start_level, update_replacement, observable
             )
             latencies[i] += extra
@@ -216,6 +216,8 @@ class CacheHierarchy:
     ):
         """Batched :meth:`write_line`; returns per-line latencies."""
         first = self.levels[start_level]
+        if set_indices is None:
+            set_indices = first.set_indices(line_addrs)
         n = len(line_addrs)
         latencies = [first.latency] * n
         access_lines = first.access_lines
@@ -225,7 +227,7 @@ class CacheHierarchy:
         )
         while i < n:
             line_addr = line_addrs[i]
-            extra, _hit_level, _filled = self.read_miss_fill(
+            extra, _hit_level = self.read_miss_fill(
                 line_addr, start_level, update_replacement, observable
             )
             latencies[i] += extra
@@ -254,11 +256,11 @@ class CacheHierarchy:
 
     def read_line_uncached(self, line_addr: int) -> AccessResult:
         """Sec. 6.5 DRAM bypass: no cache state change at any level."""
-        return AccessResult(self.dram.read_line(line_addr), None, False)
+        return AccessResult(self.dram.read_line(line_addr), None)
 
     def write_line_uncached(self, line_addr: int) -> AccessResult:
         """Sec. 6.5 DRAM bypass for stores."""
-        return AccessResult(self.dram.write_line(line_addr), None, False)
+        return AccessResult(self.dram.write_line(line_addr), None)
 
     # -- coherence-style operations ------------------------------------------------
 

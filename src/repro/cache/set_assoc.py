@@ -51,9 +51,6 @@ class CacheStats:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def record_set_access(self, set_index: int) -> None:
-        self.set_accesses[set_index] = self.set_accesses.get(set_index, 0) + 1
-
     def reset(self) -> None:
         self.hits = 0
         self.misses = 0
@@ -188,6 +185,10 @@ class SetAssociativeCache:
         else:
             self._line_shift = -1
         self._set_mask = num_sets - 1
+        #: every set's policy is ``make_policy(replacement)``; for LRU
+        #: the batch kernels inline its touch (see
+        #: :class:`~repro.cache.replacement.LRUPolicy`)
+        self._lru = replacement.lower() == "lru"
         # Sets materialise lazily on first touch.  A 16 MiB LLC has
         # 16384 sets; building a policy object per set up front made
         # Machine construction (and therefore fork/warm-start) pay for
@@ -297,6 +298,20 @@ class SetAssociativeCache:
             events.hit(line_addr, line.dirty, lru_updated=update_replacement)
         return line
 
+    def set_indices(self, line_addrs) -> List[int]:
+        """:meth:`set_index` of every address in ``line_addrs``, in order.
+
+        The batch kernels take their set indices from here (or from a
+        DS's cached copy of it), so each batch computes them once.
+        """
+        shift = self._line_shift
+        if shift >= 0:
+            smask = self._set_mask
+            return [(line_addr >> shift) & smask for line_addr in line_addrs]
+        line_size = self.line_size
+        num_sets = self.num_sets
+        return [(line_addr // line_size) % num_sets for line_addr in line_addrs]
+
     def access_lines(
         self,
         line_addrs,
@@ -315,59 +330,63 @@ class SetAssociativeCache:
         ``read_lines``/``write_lines``) handles the fill for the missing
         element and resumes the batch after it.
 
-        ``set_indices`` optionally supplies precomputed set indices
-        aligned with ``line_addrs`` (per-DS decomposition caches).
+        ``set_indices`` supplies the set indices aligned with
+        ``line_addrs`` (:meth:`set_indices`, or a DS's cached copy);
+        callers that resume a batch pass the same list every time.
         ``mark_dirty`` applies the write path's dirty transition to each
         hit, emitting the same hit-then-dirty event order as
         ``access`` + ``set_dirty``.
 
         Hot-path notes: all attribute lookups are hoisted out of the
-        loop, and the EventBus gate is read once per batch.  That is
-        observationally safe: with no listeners at batch start none can
-        appear mid-batch (the simulator is single-threaded and a gated-
-        off batch runs no callbacks that could subscribe); with
-        listeners present the emit helpers iterate the *live* listener
-        list per event, so a mid-batch unsubscribe from inside a
-        callback behaves exactly as in the scalar path.
+        loop, the LRU touch is inlined (the contract is documented on
+        :class:`~repro.cache.replacement.LRUPolicy`), and the EventBus
+        gate is read once per batch.  The gate is observationally safe:
+        with no listeners at batch start none can appear mid-batch (the
+        simulator is single-threaded and a gated-off batch runs no
+        callbacks that could subscribe); with listeners present the emit
+        helpers iterate the *live* listener list per event, so a
+        mid-batch unsubscribe from inside a callback behaves exactly as
+        in the scalar path.
         """
+        if set_indices is None:
+            set_indices = self.set_indices(line_addrs)
         sets = self._sets
-        shift = self._line_shift
-        smask = self._set_mask
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
         events = self.events
         emit = events.has_listeners
-        hits = 0
-        i = start
+        lru = update_replacement and self._lru
+        touch = update_replacement and not lru
         n = len(line_addrs)
-        while i < n:
+        for i in range(start, n):
             line_addr = line_addrs[i]
-            if set_indices is not None:
-                set_idx = set_indices[i]
-            elif shift >= 0:
-                set_idx = (line_addr >> shift) & smask
-            else:
-                set_idx = (line_addr // self.line_size) % self.num_sets
+            set_idx = set_indices[i]
             if set_accesses is not None:
                 set_accesses[set_idx] = set_accesses.get(set_idx, 0) + 1
             cset = sets[set_idx]
             way = cset.by_addr.get(line_addr) if cset is not None else None
             if way is None:
                 stats.misses += 1
-                stats.hits += hits
+                stats.hits += i - start
                 return i
-            line = cset.ways[way]
-            hits += 1
-            if update_replacement:
+            if lru:
+                policy = cset.policy
+                stamp = policy._stamp + 1
+                policy._stamp = stamp
+                policy._last_use[way] = stamp
+            elif touch:
                 cset.touch(way)
             if emit:
-                events.hit(line_addr, line.dirty, lru_updated=update_replacement)
-            if mark_dirty and not line.dirty:
-                line.dirty = True
-                if emit:
-                    events.dirty(line_addr)
-            i += 1
-        stats.hits += hits
+                events.hit(
+                    line_addr, cset.ways[way].dirty, lru_updated=update_replacement
+                )
+            if mark_dirty:
+                line = cset.ways[way]
+                if not line.dirty:
+                    line.dirty = True
+                    if emit:
+                        events.dirty(line_addr)
+        stats.hits += n - start
         return n
 
     def rmw_lines(
@@ -391,28 +410,24 @@ class SetAssociativeCache:
         missing element (both phases, where a fill can be refused) and
         resumes after it.
 
-        Shares :meth:`access_lines`'s batch-gated event emission and
-        its safety argument, and skips the second tag lookup per pair —
-        the load hit already pinned down the way.
+        Shares :meth:`access_lines`'s set-index argument, inlined LRU
+        touch (on the listener-free path) and batch-gated event emission
+        with its safety argument, and skips the second tag lookup per
+        pair — the load hit already pinned down the way.
         """
+        if set_indices is None:
+            set_indices = self.set_indices(line_addrs)
         sets = self._sets
-        shift = self._line_shift
-        smask = self._set_mask
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
         events = self.events
         emit = events.has_listeners
-        hits = 0
-        i = start
+        lru = update_replacement and self._lru
+        touch = update_replacement and not lru
         n = len(line_addrs)
-        while i < n:
+        for i in range(start, n):
             line_addr = line_addrs[i]
-            if set_indices is not None:
-                set_idx = set_indices[i]
-            elif shift >= 0:
-                set_idx = (line_addr >> shift) & smask
-            else:
-                set_idx = (line_addr // self.line_size) % self.num_sets
+            set_idx = set_indices[i]
             if set_accesses is not None:
                 count = set_accesses.get(set_idx, 0)
             cset = sets[set_idx]
@@ -421,10 +436,9 @@ class SetAssociativeCache:
                 if set_accesses is not None:
                     set_accesses[set_idx] = count + 1
                 stats.misses += 1
-                stats.hits += hits
+                stats.hits += 2 * (i - start)
                 return i
             line = cset.ways[way]
-            hits += 2
             if emit:
                 # Stepwise counter updates: a listener callback may read
                 # the per-set profile between the pair's two accesses.
@@ -441,15 +455,21 @@ class SetAssociativeCache:
             else:
                 if set_accesses is not None:
                     set_accesses[set_idx] = count + 2
-                if update_replacement:
+                if lru:
+                    # Two touches of one way: the second overwrites the
+                    # first's stamp.
+                    policy = cset.policy
+                    stamp = policy._stamp + 2
+                    policy._stamp = stamp
+                    policy._last_use[way] = stamp
+                elif touch:
                     cset.touch(way)
                     cset.touch(way)
             if not line.dirty:
                 line.dirty = True
                 if emit:
                     events.dirty(line_addr)
-            i += 1
-        stats.hits += hits
+        stats.hits += 2 * (n - start)
         return n
 
     def fill(

@@ -44,9 +44,36 @@ from repro.workloads import WORKLOADS
 from repro.workloads.crypto import CIPHERS
 
 
+def _number(cast, text: str, ok, what: str):
+    try:
+        value = cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid {cast.__name__} value: {text!r}"
+        ) from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse ``type``: an integer >= 1, else a usage error."""
+    return _number(int, text, lambda v: v > 0, "a positive integer")
+
+
+def non_negative_int(text: str) -> int:
+    """argparse ``type``: an integer >= 0, else a usage error."""
+    return _number(int, text, lambda v: v >= 0, "a non-negative integer")
+
+
+def positive_float(text: str) -> float:
+    """argparse ``type``: a number > 0, else a usage error."""
+    return _number(float, text, lambda v: v > 0, "a positive number")
+
+
 def _cmd_run(args) -> int:
     workload = WORKLOADS[args.workload]
-    size = args.size or workload.sizes[-1]
+    size = workload.sizes[-1] if args.size is None else args.size
     schemes = args.scheme or ["insecure", "ct", "bia-l1d", "bia-l2"]
     base = None
     rows = []
@@ -246,7 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one workload under chosen schemes")
     run.add_argument("workload", choices=sorted(WORKLOADS))
-    run.add_argument("--size", type=int, default=None)
+    run.add_argument(
+        "--size",
+        type=positive_int,
+        default=None,
+        help="problem size (default: the workload's largest Fig. 7 size)",
+    )
     run.add_argument("--seed", type=int, default=1)
     run.add_argument(
         "--scheme", action="append", choices=SCHEMES, default=None
@@ -277,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("target", nargs="*", default=["all"])
     experiments.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         help="worker processes for independent simulations",
     )
@@ -288,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "--timeout",
-        type=float,
+        type=positive_float,
         default=None,
         help="per-simulation wall-time budget in seconds",
     )
     experiments.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=0,
         help="retry failing/hanging simulations this many times",
     )

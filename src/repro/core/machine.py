@@ -47,6 +47,44 @@ from repro.memory.dram import DRAM
 #: for the (power-of-two) architectural line size.
 _LINE_BASE_MASK = ~(params.LINE_SIZE - 1)
 
+#: Float addition of non-negative integers is exact, in any order, while
+#: every partial sum stays below 2**53.
+_EXACT_FLOAT_LIMIT = 1 << 53
+
+
+def _exact_sum(cycles, n, pre_cycles, total):
+    """``cycles + n * pre_cycles + total`` when that is exact, else None.
+
+    A batch of ``n`` accesses is charged ``pre_cycles`` (the preceding
+    ``execute``) and then its latency per element in the scalar path;
+    ``total`` is the sum of the latencies.  When every addend is
+    integral (``total`` an ``int``) and the result stays below 2**53,
+    every partial sum is exactly representable, so the one sum is
+    bit-identical to the scalar per-element order.  Otherwise (a
+    fractional CPI or latency) the caller must replay that order,
+    because float addition is not associative.
+    """
+    if (
+        type(total) is int
+        and float(pre_cycles).is_integer()
+        and float(cycles).is_integer()
+    ):
+        charged = cycles + (n * pre_cycles + total)
+        if charged < _EXACT_FLOAT_LIMIT:
+            return charged
+    return None
+
+
+def _charge_latencies(cycles, pre_cycles, latencies):
+    """``cycles`` after a batch's per-element pre-work and latencies."""
+    charged = _exact_sum(cycles, len(latencies), pre_cycles, sum(latencies))
+    if charged is not None:
+        return charged
+    for lat in latencies:
+        cycles += pre_cycles
+        cycles += lat
+    return cycles
+
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -263,18 +301,26 @@ class Machine:
         """Ordinary load.  ``secret_dependent=True`` skips the LRU update
         (Sec. 3.2's replacement-side-channel rule)."""
         line_addr = addr & _LINE_BASE_MASK
-        result = self.hierarchy.read_line(
-            line_addr, start_level, not secret_dependent
-        )
+        update = not secret_dependent
+        hier = self.hierarchy
+        # Probe the start level directly; walk the hierarchy only on a
+        # miss (``CacheHierarchy.read_line`` without its result object).
+        first = hier.levels[start_level]
+        latency = first.latency
+        if first.access(line_addr, update) is None:
+            extra, hit_level = hier.read_miss_fill(line_addr, start_level, update)
+            latency += extra
+        else:
+            hit_level = first.name
         if self.slice_hash is not None:
-            self._record_llc_traffic(line_addr, result.hit_level)
+            self._record_llc_traffic(line_addr, hit_level)
         # One bound-attribute block for all five counters (hot path).
         stats = self.stats
         stats.loads += 1
         stats.l1d_refs += 1
         stats.insts += 1
         stats.l1i_refs += 1
-        stats.cycles += result.latency
+        stats.cycles += latency
         return self.memory.read_word(addr, size)
 
     def store_word(
@@ -293,33 +339,38 @@ class Machine:
         consequences Sec. 2.4 flags and defers.
         """
         line_addr = addr & _LINE_BASE_MASK
-        if self.config.silent_stores and self.memory.read_word(
+        update = not secret_dependent
+        squash = self.config.silent_stores and self.memory.read_word(
             addr, size
-        ) == value % (1 << (8 * size)):
-            result = self.hierarchy.read_line(
-                line_addr, start_level, not secret_dependent
-            )
-            if self.slice_hash is not None:
-                self._record_llc_traffic(line_addr, result.hit_level)
-            stats = self.stats
-            stats.stores += 1
-            stats.l1d_refs += 1
-            stats.insts += 1
-            stats.l1i_refs += 1
-            stats.cycles += result.latency
-            return
-        result = self.hierarchy.write_line(
-            line_addr, start_level, not secret_dependent
-        )
+        ) == value % (1 << (8 * size))
+        hier = self.hierarchy
+        # ``CacheHierarchy.write_line`` inlined: the read path, then the
+        # dirty transition at the start level (unless squashed).
+        first = hier.levels[start_level]
+        latency = first.latency
+        line = first.access(line_addr, update)
+        if line is None:
+            extra, hit_level = hier.read_miss_fill(line_addr, start_level, update)
+            latency += extra
+            if not squash:
+                # a PLcache may have refused the fill: set_dirty re-probes
+                first.set_dirty(line_addr)
+        else:
+            hit_level = first.name
+            if not squash and not line.dirty:
+                line.dirty = True
+                if first.events.has_listeners:
+                    first.events.dirty(line_addr)
         if self.slice_hash is not None:
-            self._record_llc_traffic(line_addr, result.hit_level)
-        self.memory.write_word(addr, value, size)
+            self._record_llc_traffic(line_addr, hit_level)
+        if not squash:
+            self.memory.write_word(addr, value, size)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
         stats.insts += 1
         stats.l1i_refs += 1
-        stats.cycles += result.latency
+        stats.cycles += latency
 
     # -- victim: bulk-access kernels -----------------------------------------------------
     #
@@ -330,9 +381,11 @@ class Machine:
     # Python round-trip (execute + load_word per DS line) dominated
     # every sweep-heavy figure; hoisting attribute lookups and folding
     # the per-element counter updates into one batch update recovers
-    # most of that overhead.  Machines with a sliced LLC fall back to
-    # the scalar loop: slice-traffic recording depends on each access's
-    # individual hit level.
+    # most of that overhead.  Cycles are charged once per all-hit run
+    # when that sum is exact (``_exact_sum``), else per element in the
+    # scalar order.  Machines with a sliced LLC fall back to the scalar
+    # loop: slice-traffic recording depends on each access's individual
+    # hit level.
 
     def load_words(
         self,
@@ -380,20 +433,9 @@ class Machine:
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        # Cycles replicate the scalar interleaving order exactly
-        # (pre-work then latency, per element): float addition is not
-        # associative, so folding into one sum could diverge from the
-        # scalar path under fractional CPI cost models.
-        pre_cycles = pre_insts * self.costs.cpi
-        cycles = stats.cycles
-        if pre_cycles:
-            for lat in latencies:
-                cycles += pre_cycles
-                cycles += lat
-        else:
-            for lat in latencies:
-                cycles += lat
-        stats.cycles = cycles
+        stats.cycles = _charge_latencies(
+            stats.cycles, pre_insts * self.costs.cpi, latencies
+        )
         if not collect_values:
             return None
         read = self.memory.read_word
@@ -430,25 +472,16 @@ class Machine:
         latencies = self.hierarchy.write_lines(
             lines, start_level, not secret_dependent
         )
-        write = self.memory.write_word
-        for a, v in zip(addrs, values):
-            write(a, v, size)
+        self.memory.write_words(addrs, values, size)
         stats = self.stats
         per = pre_insts + 1
         stats.stores += n
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        pre_cycles = pre_insts * self.costs.cpi
-        cycles = stats.cycles
-        if pre_cycles:
-            for lat in latencies:
-                cycles += pre_cycles
-                cycles += lat
-        else:
-            for lat in latencies:
-                cycles += lat
-        stats.cycles = cycles
+        stats.cycles = _charge_latencies(
+            stats.cycles, pre_insts * self.costs.cpi, latencies
+        )
 
     def rmw_words(
         self,
@@ -532,9 +565,7 @@ class Machine:
                 if hit is not None:
                     cycles += first_lat
                 else:
-                    extra, _hit_level, _filled = miss_fill(
-                        line, start_level, update, True
-                    )
+                    extra, _hit_level = miss_fill(line, start_level, update, True)
                     cycles += first_lat + extra
                 value = read(a, size)
                 append(value if collect_values or i == target_idx else None)
@@ -545,7 +576,7 @@ class Machine:
                     if hit is not None:
                         cycles += first_lat
                     else:
-                        extra, _hit_level, _filled = miss_fill(
+                        extra, _hit_level = miss_fill(
                             line, start_level, update, True
                         )
                         cycles += first_lat + extra
@@ -558,7 +589,7 @@ class Machine:
                             if first_events.has_listeners:
                                 first_events.dirty(line)
                     else:
-                        extra, _hit_level, _filled = miss_fill(
+                        extra, _hit_level = miss_fill(
                             line, start_level, update, True
                         )
                         cycles += first_lat + extra
@@ -573,21 +604,23 @@ class Machine:
             stats.l1i_refs += n * per
             return out
         rmw_run = first.rmw_lines
+        if set_indices is None:
+            set_indices = first.set_indices(lines)
         out = [None] * n
         i = 0
         while i < n:
             nxt = rmw_run(lines, i, update, True, set_indices)
-            # Completed all-hit pairs [i, nxt): charge cycles in the
-            # scalar float-addition order, then the memory traffic.
-            if pre_cycles:
-                for j in range(i, nxt):
+            # Completed all-hit pairs [i, nxt): charge their cycles,
+            # then the memory traffic.
+            run = nxt - i
+            charged = _exact_sum(cycles, run, pre_cycles, 2 * first_lat * run)
+            if charged is None:
+                for _ in range(run):
                     cycles += pre_cycles
                     cycles += first_lat
                     cycles += first_lat
             else:
-                for _ in range(i, nxt):
-                    cycles += first_lat
-                    cycles += first_lat
+                cycles = charged
             if collect_values:
                 for j in range(i, nxt):
                     v = read(addrs[j], size)
@@ -608,7 +641,7 @@ class Machine:
             line = lines[nxt]
             if pre_cycles:
                 cycles += pre_cycles
-            extra, _hit_level, _filled = miss_fill(line, start_level, update, True)
+            extra, _hit_level = miss_fill(line, start_level, update, True)
             cycles += first_lat + extra
             if collect_values or nxt == target_idx:
                 v = read(a, size)
@@ -622,9 +655,7 @@ class Machine:
                     if first_events.has_listeners:
                         first_events.dirty(line)
             else:
-                extra, _hit_level, _filled = miss_fill(
-                    line, start_level, update, True
-                )
+                extra, _hit_level = miss_fill(line, start_level, update, True)
                 cycles += first_lat + extra
                 first_set_dirty(line)
             if nxt == target_idx or collect_values:

@@ -48,9 +48,10 @@ Durability (checkpoint/resume):
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
 
+from repro.cli import non_negative_int, positive_float, positive_int
 from repro.errors import EngineError
 from repro.experiments import figures, parallel, tables
 from repro.experiments.figures import headline_reduction
@@ -96,68 +97,76 @@ TARGETS = {
 }
 
 
-def _parse_engine_flags(argv):
-    """Split ``argv`` into (engine options, provided names, remaining).
+def build_parser() -> argparse.ArgumentParser:
+    """The command line of ``python -m repro.experiments``.
 
-    Recognized: ``--jobs N``, ``--timeout S``, ``--retries N``,
-    ``--run-log FILE``, ``--run-dir DIR``, ``--resume DIR``,
-    ``--from-store DIR`` (each also in ``--flag=value`` form) and
-    ``--no-cache``.  Unknown ``-``-prefixed args are passed through
-    (and later ignored, matching the historical behaviour).
-
-    ``provided`` names the options the user actually typed, so
+    ``--jobs``, ``--timeout`` and ``--retries`` default to None so that
     ``--resume`` can tell an explicit ``--jobs 4`` apart from the
     default and let the manifest's settings snapshot fill the rest.
     """
-    opts = {
-        "jobs": 1,
-        "use_cache": True,
-        "timeout": None,
-        "retries": 0,
-        "run_log": None,
-        "run_dir": None,
-        "resume": None,
-        "from_store": None,
-    }
-    valued = {
-        "--jobs": ("jobs", int),
-        "--timeout": ("timeout", float),
-        "--retries": ("retries", int),
-        "--run-log": ("run_log", str),
-        "--run-dir": ("run_dir", str),
-        "--resume": ("resume", str),
-        "--from-store": ("from_store", str),
-    }
-    provided = set()
-    rest = []
-    it = iter(argv)
-    for arg in it:
-        name, _, inline = arg.partition("=")
-        if name in valued:
-            key, cast = valued[name]
-            opts[key] = cast(inline if inline else next(it, ""))
-            provided.add(key)
-        elif arg == "--no-cache":
-            opts["use_cache"] = False
-            provided.add("use_cache")
-        else:
-            rest.append(arg)
-    return opts, provided, rest
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.experiments",
+        description="Regenerate the paper's tables and figures.",
+    )
+    parser.add_argument(
+        "target",
+        nargs="*",
+        help=f"{', '.join(TARGETS)} or all (the default; all omits json)",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=positive_int,
+        metavar="N",
+        help="worker processes for independent simulations (default 1)",
+    )
+    parser.add_argument(
+        "--no-cache",
+        dest="use_cache",
+        action="store_false",
+        help="disable the on-disk result cache (.repro_results/)",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=positive_float,
+        metavar="S",
+        help="per-simulation wall-time budget in seconds",
+    )
+    parser.add_argument(
+        "--retries",
+        type=non_negative_int,
+        metavar="N",
+        help="retry failing/hanging simulations this many times (default 0)",
+    )
+    parser.add_argument(
+        "--run-log", metavar="FILE", help="export the JSONL run log to FILE"
+    )
+    parser.add_argument(
+        "--run-dir", metavar="DIR", help="checkpoint the run into DIR"
+    )
+    parser.add_argument(
+        "--resume", metavar="DIR", help="finish the interrupted run in DIR"
+    )
+    parser.add_argument(
+        "--from-store",
+        metavar="DIR",
+        help="rebuild the targets offline from DIR's store",
+    )
+    return parser
 
 
-def _resume_main(opts, provided, telemetry) -> int:
+def _resume_main(args, telemetry) -> int:
     """``--resume DIR``: finish the manifest, no targets involved."""
     from repro.experiments import store
 
-    rd = store.RunDirectory(opts["resume"])
+    rd = store.RunDirectory(args.resume)
     telemetry.stream_to(rd.telemetry_path)
     status = 0
     try:
         results = store.resume(
             rd,
-            jobs=opts["jobs"] if "jobs" in provided else None,
-            timeout=opts["timeout"] if "timeout" in provided else None,
-            retries=opts["retries"] if "retries" in provided else None,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            retries=args.retries,
             telemetry=telemetry,
         )
         print(f"resumed {rd.path}: {len(results)} result(s) complete")
@@ -170,17 +179,22 @@ def _resume_main(opts, provided, telemetry) -> int:
     return status
 
 
-def main(argv) -> int:
-    opts, provided, argv = _parse_engine_flags(argv)
+def main(argv=None) -> int:
+    """Run the command line ``argv``; returns the exit status.
+
+    A malformed command line exits with status 2 (``SystemExit``)
+    before anything is simulated, as does ``--help`` with status 0.
+    """
+    args = build_parser().parse_intermixed_args(argv)
     telemetry = RunTelemetry()
 
-    if opts["resume"]:
-        status = _resume_main(opts, provided, telemetry)
+    if args.resume:
+        status = _resume_main(args, telemetry)
         if telemetry.records:
             print(telemetry.summary_table())
         return status
 
-    names = [a for a in argv if not a.startswith("-")] or ["all"]
+    names = args.target or ["all"]
     if names == ["all"]:
         # `json` re-runs every sweep and writes a file; request it
         # explicitly (python -m repro.experiments json).
@@ -191,27 +205,27 @@ def main(argv) -> int:
         return 2
     cache = (
         parallel.ResultCache(parallel.DEFAULT_CACHE_DIR)
-        if opts["use_cache"]
+        if args.use_cache
         else None
     )
     run_dir = None
     offline = False
-    if opts["from_store"]:
+    if args.from_store:
         from repro.experiments.store import RunDirectory
 
-        run_dir = RunDirectory(opts["from_store"], readonly=True)
+        run_dir = RunDirectory(args.from_store, readonly=True)
         offline = True
-    elif opts["run_dir"]:
+    elif args.run_dir:
         from repro.experiments.store import RunDirectory
 
-        run_dir = RunDirectory(opts["run_dir"])
+        run_dir = RunDirectory(args.run_dir)
         telemetry.stream_to(run_dir.telemetry_path)
     prev = parallel.current_settings()
     parallel.configure(
-        jobs=opts["jobs"],
+        jobs=1 if args.jobs is None else args.jobs,
         cache=cache,
-        timeout=opts["timeout"],
-        retries=opts["retries"],
+        timeout=args.timeout,
+        retries=0 if args.retries is None else args.retries,
         telemetry=telemetry,
         store=run_dir,
         offline=offline,
@@ -235,11 +249,11 @@ def main(argv) -> int:
             run_dir.close()
     if telemetry.records:
         print(telemetry.summary_table())
-    if opts["run_log"]:
-        count = telemetry.export_jsonl(opts["run_log"])
-        print(f"wrote {count} run record(s) to {opts['run_log']}")
+    if args.run_log:
+        count = telemetry.export_jsonl(args.run_log)
+        print(f"wrote {count} run record(s) to {args.run_log}")
     return status
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

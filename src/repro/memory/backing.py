@@ -114,6 +114,45 @@ class MainMemory:
             return
         self.write(addr, data)
 
+    def write_words(
+        self, addrs, values, size: int = params.WORD_SIZE
+    ) -> None:
+        """``write_word(addr, value, size)`` for each pair, in order.
+
+        Same checks and copy-on-write as :meth:`write_word`, with the
+        page lookup hoisted across consecutive words on one page (array
+        initialisation writes thousands of words per page).
+        """
+        if size <= 0 or size & (size - 1):
+            raise AlignmentError(f"access size {size} is not a power of two")
+        if size > params.PAGE_SIZE:
+            for addr, value in zip(addrs, values):
+                self.write_word(addr, value, size)
+            return
+        pages = self._pages
+        frozen = self._frozen
+        align = size - 1
+        wrap = (1 << (8 * size)) - 1
+        page_bits = params.PAGE_BITS
+        off_mask = params.PAGE_SIZE - 1
+        page_idx = None
+        page = None
+        for addr, value in zip(addrs, values):
+            if addr & align:
+                raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+            idx = addr >> page_bits
+            if idx != page_idx:
+                page = pages.get(idx)
+                if page is None:
+                    page = pages[idx] = bytearray(params.PAGE_SIZE)
+                elif frozen and idx in frozen:
+                    # Copy-on-write: this page is shared with a snapshot.
+                    page = pages[idx] = bytearray(page)
+                    frozen.discard(idx)
+                page_idx = idx
+            off = addr & off_mask
+            page[off : off + size] = (value & wrap).to_bytes(size, "little")
+
     def read_line(self, line_addr: int) -> bytes:
         """Read the whole 64-byte line starting at ``line_addr``."""
         addr_math.check_aligned(line_addr, params.LINE_SIZE)

@@ -11,9 +11,10 @@ policies, set geometries, silent-store machines, secret-dependent
 flags, listener presence — and diff everything an attacker (or a
 figure) could read.
 
-The default cost model has an integer-valued CPI, and these tests keep
-it: the kernels replicate the scalar float-addition order per element,
-and integer CPI additionally makes every consumer-level fold exact.
+Configurations draw both the default integer-valued CPI, under which
+the kernels charge each all-hit run's cycles in one exact integer sum,
+and a fractional CPI, under which they must fall back to the scalar
+path's per-element float-addition order to stay bit-identical.
 """
 
 import random
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.observer import ObservableTraceRecorder
+from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig
 
 ARENA_LINES = 512  # 32 KiB arena: larger than a 4 KiB L1d, smaller than L2
@@ -32,18 +34,24 @@ GEOMETRIES = [(4096, 4), (8192, 8), (16384, 2), (65536, 8)]
 
 POLICIES = ["lru", "fifo", "random", "plru"]
 
+#: CPI choices: the integral default and a fractional one whose float
+#: sums depend on addition order.
+CPIS = [1.0, 0.7]
+
 configs = st.builds(
-    lambda geom, policy, silent, seed: MachineConfig(
+    lambda geom, policy, silent, seed, cpi: MachineConfig(
         l1d_size=geom[0],
         l1d_assoc=geom[1],
         replacement=policy,
         silent_stores=silent,
         replacement_seed=seed,
+        costs=CostModel(cpi=cpi),
     ),
     geom=st.sampled_from(GEOMETRIES),
     policy=st.sampled_from(POLICIES),
     silent=st.booleans(),
     seed=st.integers(min_value=0, max_value=3),
+    cpi=st.sampled_from(CPIS),
 )
 
 addr_seqs = st.lists(
@@ -88,6 +96,11 @@ def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
             sb.hits, sb.misses, sb.fills, sb.evictions, sb.dirty_evictions
         ), (where, lvl)
         assert dict(sa.set_accesses) == dict(sb.set_accesses), (where, lvl)
+        # Resident lines and LRU recency order, with or without a
+        # listener: the kernels update replacement state themselves.
+        assert ma.hierarchy.level(lvl).occupied_sets() == (
+            mb.hierarchy.level(lvl).occupied_sets()
+        ), (where, lvl)
     if ra is not None:
         assert ra.events == rb.events, where
         assert ra.final_state_digest() == rb.final_state_digest(), where
@@ -333,6 +346,68 @@ class TestWarmPool:
         assert pool.stats.builds == len(self.SPECS)
         assert pool.stats.reuses == 2 * len(specs) - len(self.SPECS)
         assert warm_pool() is not None  # default engine keeps a pool
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("kernel", ["load", "store", "rmw"])
+def test_same_set_rehits_keep_replacement_order(kernel, policy):
+    """Re-hits within one set, no listener: the recency order must match.
+
+    Random address sequences rarely revisit lines of one set, so this
+    pins the kernels' replacement updates (the inlined LRU touch) on a
+    sequence that does, then forces evictions that depend on them.
+    """
+    config = MachineConfig(l1d_size=4096, l1d_assoc=4, replacement=policy)
+    (ma, mb), (ra, rb), base = _twins(config, listeners=False)
+    stride = 4096 // 4  # one L1d way: same set, next line address
+    order = [0, 1, 2, 3, 0, 4, 2, 3, 5, 1, 2, 2, 6, 0]
+    addrs = [base + stride * k for k in order]
+    if kernel == "load":
+        ma.load_words(addrs)
+        for a in addrs:
+            mb.load_word(a)
+    elif kernel == "store":
+        ma.store_words(addrs, list(range(len(addrs))))
+        for i, a in enumerate(addrs):
+            mb.store_word(a, i)
+    else:
+        ma.rmw_words(addrs, target_idx=2, target_fn=lambda v: v ^ 1)
+        for i, a in enumerate(addrs):
+            v = mb.load_word(a)
+            mb.store_word(a, v ^ 1 if i == 2 else v)
+    _assert_observably_equal(ma, mb, ra, rb, base, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["load", "store", "rmw"])
+def test_cycles_near_float_precision_limit_match_scalar(kernel):
+    """At 2**53 cycles float sums round, so the run sum must not be used."""
+    config = MachineConfig()
+    ma, mb = Machine(config), Machine(config)
+    base = None
+    for m in (ma, mb):
+        base = m.allocator.alloc(64 * 64, "b")
+        for i in range(64):
+            m.load_word(base + 64 * i)  # warm: every access below hits
+        m.stats.cycles = float(2**53 - 4)
+    addrs = [base + 64 * i for i in range(64)]
+    if kernel == "load":
+        ma.load_words(addrs, pre_insts=1)
+    elif kernel == "store":
+        ma.store_words(addrs, list(range(64)), pre_insts=1)
+    else:
+        ma.rmw_words(addrs, target_idx=3, target_fn=lambda v: v + 1,
+                     pre_insts=1)
+    for i, a in enumerate(addrs):
+        mb.execute(1)
+        if kernel == "load":
+            mb.load_word(a)
+        elif kernel == "store":
+            mb.store_word(a, i)
+        else:
+            v = mb.load_word(a)
+            mb.store_word(a, v + 1 if i == 3 else v)
+    assert ma.stats.cycles == mb.stats.cycles
+    assert ma.snapshot() == mb.snapshot()
 
 
 @pytest.mark.parametrize("scheme", ["plain", "plcache"])

@@ -30,6 +30,47 @@ class TestMainCLI:
         assert "Table 1" in out
         assert "done in" in out
 
+    @pytest.fixture
+    def no_targets(self, monkeypatch):
+        """Replace every target with a recorder: nothing is simulated."""
+        ran = []
+        for name in TARGETS:
+            monkeypatch.setitem(
+                TARGETS, name, lambda name=name: ran.append(name) or name
+            )
+        return ran
+
+    def test_help_exits_zero_without_running_targets(self, no_targets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--jobs" in capsys.readouterr().out
+        assert no_targets == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--jobs"], ["--jobs", "0"], ["--jobs=-2"], ["--jobs", "x", "fig2"]],
+    )
+    def test_bad_jobs_is_a_usage_error(self, argv, no_targets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert no_targets == []
+
+    @pytest.mark.parametrize(
+        "argv", [["--timeout", "0"], ["--retries", "-1"], ["--bogus"]]
+    )
+    def test_other_bad_flags_are_usage_errors(self, argv, no_targets):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert no_targets == []
+
+    def test_flags_and_targets_intermix(self, no_targets):
+        assert main(["table1", "--jobs", "2", "--no-cache", "fig2"]) == 0
+        assert no_targets == ["table1", "fig2"]
+
 
 class TestFormatBars:
     def test_basic_render(self):

@@ -86,6 +86,48 @@ class TestWords:
         assert mem.read_word(0x1000, size=8) == 0xAABBCCDD11223344
 
 
+class TestWriteWords:
+    """``write_words`` == a ``write_word`` loop, including copy-on-write."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3 * params.PAGE_SIZE // 8 - 1),
+                st.integers(0, (1 << 70) - 1),
+            ),
+            max_size=60,
+        ),
+        st.sampled_from([1, 4, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_write_word_loop(self, writes, size):
+        addrs = [0x10000 + size * slot for slot, _ in writes]
+        values = [value for _, value in writes]
+        bulk, scalar = MainMemory(), MainMemory()
+        for mem in (bulk, scalar):
+            mem.write(0x10000 + params.PAGE_SIZE, b"\xff" * 64)
+        shared = bulk.share_pages()
+        bulk.write_words(addrs, values, size)
+        for addr, value in zip(addrs, values):
+            scalar.write_word(addr, value, size)
+        span = 3 * params.PAGE_SIZE
+        assert bulk.read(0x10000, span) == scalar.read(0x10000, span)
+        # the snapshot's pages were copied before the first write
+        assert bytes(shared[(0x10000 >> params.PAGE_BITS) + 1][:64]) == (
+            b"\xff" * 64
+        )
+
+    def test_misaligned_word_rejected_after_earlier_writes(self):
+        mem = MainMemory()
+        with pytest.raises(AlignmentError):
+            mem.write_words([0x1000, 0x1006], [7, 8])
+        assert mem.read_word(0x1000) == 7
+
+    def test_non_power_of_two_size_rejected(self):
+        with pytest.raises(AlignmentError):
+            MainMemory().write_words([0x1000], [1], size=3)
+
+
 class TestLines:
     def test_line_roundtrip(self):
         mem = MainMemory()

@@ -18,6 +18,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "histogram", "--scheme", "magic"])
 
+    @pytest.mark.parametrize("size", ["0", "-5", "abc"])
+    def test_run_rejects_non_positive_size(self, size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "histogram", "--size", size])
+        assert exc.value.code == 2
+        assert "--size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_experiments_rejects_non_positive_jobs(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "--jobs", jobs, "table1"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_run(self, capsys):
