@@ -28,6 +28,11 @@
 #      output at the large-DS points must equal the workload's
 #      reference() and the simulated counters must repeat exactly
 #      across passes; the timings it prints are not checked
+#   8. the paper-regeneration smoke: `python3 perfbench/run.py
+#      --workload paper-regen --seconds 1` — an exit-status check only:
+#      every Table-2 output must equal the workload's reference(), the
+#      ciphers must agree across schemes and the simulated counters
+#      must repeat exactly across passes; timings are not checked
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -66,5 +71,8 @@ python -m repro bench --repeats 1
 
 echo "== software-CT sweep smoke (perfbench/run.py --workload ct-sweep)"
 python3 perfbench/run.py --workload ct-sweep --seconds 1
+
+echo "== paper-regeneration smoke (perfbench/run.py --workload paper-regen)"
+python3 perfbench/run.py --workload paper-regen --seconds 1
 
 echo "== CI gate passed"

@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctcheck.add_argument(
         "--spec-window",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="with --symbolic: explore mispredicted branch directions "
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctcheck.add_argument(
         "--max-rounds",
-        type=int,
+        type=positive_int,
         default=12,
         metavar="N",
         help="with --repair: give up after N localize/transform/"
@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ctcheck.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=1,
         metavar="N",
         help="check independent targets across N worker processes "

@@ -495,6 +495,7 @@ class Machine:
         lines=None,
         set_indices=None,
         collect_values: bool = True,
+        values=None,
     ):
         """Batched read-modify-write triples.
 
@@ -509,6 +510,14 @@ class Machine:
         simulated accesses are still performed and charged, and the
         memory image is unchanged since each elision writes back the
         word just read.
+
+        ``values`` instead supplies every element's store value
+        (``new = values[i]``; ``target_idx`` / ``target_fn`` unused) —
+        a public read-modify-write loop whose new words the caller has
+        already computed.  Every element is then written back, and
+        with ``collect_values=False`` nothing is read (all ``None``).
+        Under ``silent_stores`` each store is still squashed exactly
+        when its value equals memory at that point of the sequence.
 
         The pairs stay fused (load and store of element i before the
         load of element i+1) because the store's events must interleave
@@ -529,8 +538,11 @@ class Machine:
                 if pre_insts:
                     execute(pre_insts)
                 v = load(a, size, secret_dependent, start_level)
-                out.append(v)
-                new = target_fn(v) if i == target_idx else v
+                out.append(v if collect_values or i == target_idx else None)
+                if values is not None:
+                    new = values[i]
+                else:
+                    new = target_fn(v) if i == target_idx else v
                 store(a, new, size, secret_dependent, start_level)
             return out
         if lines is None:
@@ -546,6 +558,7 @@ class Machine:
         update = not secret_dependent
         read = self.memory.read_word
         write = self.memory.write_word
+        write_words = self.memory.write_words
         stats = self.stats
         pre_cycles = pre_insts * self.costs.cpi
         cycles = stats.cycles
@@ -569,8 +582,11 @@ class Machine:
                     cycles += first_lat + extra
                 value = read(a, size)
                 append(value if collect_values or i == target_idx else None)
-                new = target_fn(value) if i == target_idx else value
-                if read(a, size) == new & wrap:
+                if values is not None:
+                    new = values[i]
+                else:
+                    new = target_fn(value) if i == target_idx else value
+                if value == new & wrap:
                     # Squashed silent store: read path, no dirty bit.
                     hit = first_access(line, update, True)
                     if hit is not None:
@@ -621,7 +637,14 @@ class Machine:
                     cycles += first_lat
             else:
                 cycles = charged
-            if collect_values:
+            if values is not None:
+                if collect_values:
+                    for j in range(i, nxt):
+                        out[j] = read(addrs[j], size)
+                        write(addrs[j], values[j], size)
+                else:
+                    write_words(addrs[i:nxt], values[i:nxt], size)
+            elif collect_values:
                 for j in range(i, nxt):
                     v = read(addrs[j], size)
                     out[j] = v
@@ -646,7 +669,10 @@ class Machine:
             if collect_values or nxt == target_idx:
                 v = read(a, size)
                 out[nxt] = v
-            new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
+            if values is not None:
+                new = values[nxt]
+            else:
+                new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
             hit = first_access(line, update, True)
             if hit is not None:
                 cycles += first_lat
@@ -658,7 +684,7 @@ class Machine:
                 extra, _hit_level = miss_fill(line, start_level, update, True)
                 cycles += first_lat + extra
                 first_set_dirty(line)
-            if nxt == target_idx or collect_values:
+            if values is not None or nxt == target_idx or collect_values:
                 write(a, new, size)
             i = nxt + 1
         stats.cycles = cycles

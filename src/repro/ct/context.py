@@ -143,4 +143,7 @@ class InsecureContext(MitigationContext):
     def gather(
         self, ds: DataflowLinearizationSet, addrs: Sequence[int]
     ) -> List[int]:
-        return [self.load(ds, a) for a in addrs]
+        """One batched load; every address is checked before any access."""
+        for a in addrs:
+            ds.require_member(a)
+        return self.machine.load_words(addrs)

@@ -210,15 +210,17 @@ class TestRepairMode:
         assert "[ds]" in text  # the routed access in the dumped IR
 
     def test_max_rounds_is_threaded_through(self, capsys):
-        # A 0-round budget cannot repair anything: the terminal
-        # finding degrades to the inconclusive warning.
+        # lookup needs a second round to re-prove its repair, so a
+        # 1-round budget (the smallest the CLI accepts) degrades the
+        # terminal finding to the inconclusive warning.
         code = main(
             ["ctcheck", "--program", "lookup", "--no-workloads",
-             "--repair", "--max-rounds", "0"]
+             "--repair", "--max-rounds", "1"]
         )
         out = capsys.readouterr().out
         assert code == 0  # warnings do not fail the gate
         assert "automatic repair inconclusive" in out
+        assert "within 1 round(s)" in out
 
     def test_ct_repair_rule_ships_in_catalog(self):
         from repro.analysis.ctlint import RULES

@@ -8,7 +8,8 @@ listens), same final cache state, same per-set access profiles, same
 memory image, same returned values.  These properties drive both paths
 on twin machines over Hypothesis-generated configurations — replacement
 policies, set geometries, silent-store machines, secret-dependent
-flags, listener presence — and diff everything an attacker (or a
+flags, listener presence (plus PLcache and sliced-LLC machines for
+``rmw_words(values=...)``) — and diff everything an attacker (or a
 figure) could read.
 
 Configurations draw both the default integer-valued CPI, under which
@@ -18,6 +19,7 @@ path's per-element float-addition order to stay bit-identical.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +185,49 @@ class TestRmwWords:
             assert got[target] == want[target]
             assert all(v is None for i, v in enumerate(got) if i != target)
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words")
+
+    @given(config=configs, plcache=st.booleans(),
+           slices=st.sampled_from([1, 4]), seq=addr_seqs,
+           repeats=st.lists(st.integers(0, 119), max_size=20),
+           pre=st.integers(0, 4), secret=st.booleans(),
+           listeners=st.booleans(), collect=st.booleans(),
+           same=st.lists(st.booleans(), min_size=140, max_size=140))
+    @settings(max_examples=40, deadline=None)
+    def test_per_element_values_match_scalar(self, config, plcache, slices,
+                                             seq, repeats, pre, secret,
+                                             listeners, collect, same):
+        config = replace(config, plcache=plcache, llc_slices=slices)
+        (ma, mb), (ra, rb), base = _twins(config, listeners)
+        addrs = [base + 64 * line + 4 * word for line, word in seq]
+        # Re-visit earlier addresses within the batch.
+        for k in repeats:
+            addrs.insert(k % (len(addrs) + 1), addrs[k % len(addrs)])
+        # New values: fresh words, or the word the element will read
+        # (squashed under silent stores).
+        rng = random.Random(len(addrs))
+        image = {}
+        values = []
+        for i, a in enumerate(addrs):
+            current = image.get(a, ma.memory.read_word(a))
+            v = current if same[i] else rng.randrange(1 << 32)
+            image[a] = v
+            values.append(v)
+        got = ma.rmw_words(
+            addrs, values=values, pre_insts=pre, secret_dependent=secret,
+            collect_values=collect,
+        )
+        want = []
+        for a, v in zip(addrs, values):
+            if pre:
+                mb.execute(pre)
+            want.append(mb.load_word(a, secret_dependent=secret))
+            mb.store_word(a, v, secret_dependent=secret)
+        if collect:
+            assert got == want
+        else:
+            assert got == [None] * len(addrs)
+        assert ma.slice_trace == mb.slice_trace
+        _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words values")
 
 
 class TestCTSweepOps:

@@ -118,6 +118,21 @@ class TestLoadStore:
         with pytest.raises(ProtocolError):
             ctx.store(ds, base - params.LINE_SIZE, 1)
 
+    def test_out_of_ds_gather_rejected_before_any_access(self, kind):
+        ctx = make_ctx(kind)
+        base, ds = setup_array(ctx)
+        machine = ctx.machine
+        ctx.load(ds, base)  # some cache state to preserve
+        before = machine.snapshot()
+        state = [lvl.occupied_sets() for lvl in machine.hierarchy.levels]
+        # Members first: a per-address gather would access them before
+        # reaching the non-member.
+        addrs = [base, base + 4 * 64, base + 4 * N_WORDS + params.LINE_SIZE]
+        with pytest.raises(ProtocolError):
+            ctx.gather(ds, addrs)
+        assert machine.snapshot() == before
+        assert [lvl.occupied_sets() for lvl in machine.hierarchy.levels] == state
+
 
 class TestRegistry:
     def test_register_and_fetch_ds(self):

@@ -32,6 +32,30 @@ class TestParser:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-2"),
+            ("--max-rounds", "0"),
+            ("--max-rounds", "x"),
+            ("--spec-window", "-1"),
+            ("--spec-window", "1.5"),
+        ],
+    )
+    def test_ctcheck_rejects_out_of_range_counts(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ctcheck", "--no-workloads", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_ctcheck_accepts_boundary_counts(self):
+        args = build_parser().parse_args(
+            ["ctcheck", "--jobs", "1", "--max-rounds", "1",
+             "--spec-window", "0"]
+        )
+        assert (args.jobs, args.max_rounds, args.spec_window) == (1, 1, 0)
+
 
 class TestCommands:
     def test_run(self, capsys):
