@@ -11,8 +11,8 @@ configurations against the serial pre-engine pipeline:
   memos).
 * **cold parallel** — ``jobs=4``, no cache: adds process fan-out.
 * **warm cache** — every verdict served from a pre-populated
-  :class:`~repro.analysis.vcache.VerdictCache`; asserts zero targets
-  were re-checked.
+  :class:`~repro.experiments.parallel.ResultCache` (the cache the
+  experiment engine shares); asserts zero targets were re-checked.
 
 Methodology matches ``bench_simulator_hotpath.py``: wall times are
 min-of-``REPEATS`` (the run least polluted by scheduling noise),
@@ -35,7 +35,7 @@ from typing import Dict, List
 import pytest
 
 from repro.analysis.engine import CheckSpec, run_check_specs
-from repro.analysis.vcache import VerdictCache
+from repro.experiments.parallel import ResultCache
 from repro.lang.programs import (
     binary_search_program,
     conditional_sum_program,
@@ -112,10 +112,10 @@ def build_specs() -> List[CheckSpec]:
     return specs
 
 
-def _one_run(jobs: int = 1, vcache: VerdictCache = None):
+def _one_run(jobs: int = 1, cache: ResultCache = None):
     specs = build_specs()
     start = time.perf_counter()
-    outputs = run_check_specs(specs, jobs=jobs, vcache=vcache)
+    outputs = run_check_specs(specs, jobs=jobs, cache=cache)
     wall = time.perf_counter() - start
     findings = sum(len(o.findings) for o in outputs)
     return wall, findings
@@ -132,11 +132,11 @@ def measure() -> dict:
         wall, n = _one_run(jobs=JOBS)
         parallel_walls.append(wall)
         assert n == findings  # parallel must find exactly the same
-    cache = VerdictCache()
-    _one_run(vcache=cache)  # populate
+    cache = ResultCache()
+    _one_run(cache=cache)  # populate
     for _ in range(REPEATS):
         before = cache.stats.misses
-        wall, n = _one_run(vcache=cache)
+        wall, n = _one_run(cache=cache)
         warm_walls.append(wall)
         assert cache.stats.misses == before  # zero re-checked
         assert n == findings  # served verdicts are bit-identical

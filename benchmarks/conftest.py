@@ -16,10 +16,7 @@ Figure/table generation runs on the parallel experiment engine
 figure's independent simulations across worker processes, and
 ``--engine-cache DIR`` enables the content-addressed result cache so
 repeated benchmark runs (and cross-figure shared baselines) cost one
-simulation each.  ``--engine-timeout S`` / ``--engine-retries N`` arm
-the engine's per-simulation timeout and retry budget, so a single
-wedged or crashed worker cannot take a multi-minute benchmark session
-down with it.
+simulation each.
 """
 
 import pytest
@@ -39,18 +36,6 @@ def pytest_addoption(parser):
         default=None,
         help="directory for the engine's on-disk result cache",
     )
-    parser.addoption(
-        "--engine-timeout",
-        type=float,
-        default=None,
-        help="per-simulation wall-time budget (seconds) for the engine",
-    )
-    parser.addoption(
-        "--engine-retries",
-        type=int,
-        default=0,
-        help="engine retry budget for failing/hanging simulations",
-    )
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -58,14 +43,10 @@ def _engine_config(request):
     """Apply the --engine-* options to the experiment engine."""
     jobs = request.config.getoption("--engine-jobs")
     cache_dir = request.config.getoption("--engine-cache")
-    timeout = request.config.getoption("--engine-timeout")
-    retries = request.config.getoption("--engine-retries")
     prev = parallel.current_settings()
     parallel.configure(
         jobs=jobs,
         cache=parallel.ResultCache(cache_dir) if cache_dir else None,
-        timeout=timeout,
-        retries=retries,
     )
     yield
     parallel.configure(**prev._asdict())

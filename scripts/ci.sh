@@ -2,16 +2,16 @@
 # The one-command CI gate: everything a PR must pass, in the order
 # that fails fastest.
 #   1. style lint (ruff, when installed; config in pyproject.toml)
-#   2. tier-1 test suite (pytest tests/ — includes the fault-injection
-#      resilience tests and the crash/resume store tests)
+#   2. tier-1 test suite (pytest tests/)
 #   3. the domain lint: `python -m repro ctcheck --all --jobs 2` — the
 #      constant-time checker over every built-in IR program and every
 #      workload's registered DS linearization sets (exits 1 on
-#      error-severity findings), fanned across the verification
-#      engine's worker pool and populating a verdict cache; a second
-#      warm pass must then serve every target from the cache
-#      (re-checking anything means the content-addressed keys or the
-#      cache round-trip regressed)
+#      error-severity findings), mapped across two worker processes and
+#      populating the shared result cache (`--vcache DIR`, the same
+#      ResultCache the experiment engine uses); a second warm pass must
+#      then serve every target from that cache (re-checking anything
+#      means the content-addressed keys or the cache round-trip
+#      regressed)
 #   4. the symbolic relational smoke (scripts/symrel_smoke.py):
 #      every builtin's native variant must be refuted with a
 #      replay-confirmed secret pair (or, for the speculative fixture,

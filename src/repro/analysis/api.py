@@ -368,7 +368,7 @@ def run_ctcheck(
     repair: bool = False,
     repair_max_rounds: int = 12,
     jobs: int = 1,
-    vcache=None,
+    cache=None,
 ) -> CTCheckResult:
     """Check built-in IR programs and/or workload DS registrations.
 
@@ -398,8 +398,8 @@ def run_ctcheck(
     (:mod:`repro.analysis.engine`): each program is checked under a
     fresh intern scope with one solver shared across the
     lint/native/mitigated/repair passes, ``jobs > 1`` fans targets
-    across a process pool, and ``vcache`` (a
-    :class:`~repro.analysis.vcache.VerdictCache`) serves unchanged
+    across a process pool, and ``cache`` (a
+    :class:`~repro.experiments.parallel.ResultCache`) serves unchanged
     targets their cached findings bit-identically.  Findings are
     merged in target order (programs in request order, then
     workloads), so ``--json`` output is byte-identical between
@@ -443,7 +443,7 @@ def run_ctcheck(
                     seed=seed,
                 )
             )
-    outputs = run_check_specs(specs, jobs=jobs, vcache=vcache)
+    outputs = run_check_specs(specs, jobs=jobs, cache=cache)
     for spec, output in zip(specs, outputs):
         result.findings.extend(output.findings)
         result.checked.append(f"{spec.kind}:{spec.name}")

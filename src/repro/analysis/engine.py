@@ -4,21 +4,20 @@ One ``ctcheck`` invocation is a bag of independent *check targets* —
 IR programs (lint + relational symbolic checking + automatic repair)
 and workloads (dynamic DS audits).  Each target is described by a
 :class:`CheckSpec`, executed by :func:`check_target`, and produces a
-:class:`CheckOutput`; :func:`run_check_specs` executes a batch, in
-order of preference:
+:class:`CheckOutput`.  :func:`run_check_specs` executes a batch on the
+experiment engine's two mechanisms
+(:func:`repro.experiments.parallel.cached_map`):
 
-1. **Verdict cache** — every spec is content-addressed by
+1. **Result cache** — every spec is content-addressed by
    :meth:`CheckSpec.key` (canonical IR hash x checker configuration x
    toolchain version) and served from a
-   :class:`~repro.analysis.vcache.VerdictCache` when an identical
+   :class:`~repro.experiments.parallel.ResultCache` when an identical
    check already ran; served findings are bit-identical to a fresh
-   run.
-2. **Fan-out** — remaining specs run across a
-   ``ProcessPoolExecutor`` (``jobs > 1``), reusing the experiment
-   engine's submit/retry/timeout/respawn machinery
-   (:mod:`repro.experiments.parallel`); a sandbox that cannot fork
-   degrades to in-process execution.
-3. **Inline** — everything else runs serially in this process.
+   run.  Simulation results and verdicts share that one cache class
+   (and may share one directory).
+2. **Pool map** — the remaining specs run in order across ``jobs``
+   worker processes, or in this process when ``jobs == 1`` or only
+   one spec misses the cache.  A check that raises propagates.
 
 Determinism: a spec fully determines its output.  Every program check
 runs under a fresh intern scope
@@ -51,7 +50,6 @@ from repro.analysis.ctlint import Finding
 from repro.analysis.symrel import symrel_findings
 from repro.analysis.symrel.expr import intern_scope
 from repro.analysis.symrel.solve import Solver
-from repro.errors import EngineError
 from repro.lang import ir
 from repro.lang.pretty import dump
 
@@ -191,86 +189,16 @@ def check_target(spec: CheckSpec) -> CheckOutput:
     return output
 
 
-#: Persistent worker-pool slot shared by every ``run_check_specs``
-#: call in this process (one-element list, the
-#: :func:`~repro.experiments.parallel._run_pool` contract).  Spawning
-#: a pool forks the parent and copy-on-write-faults its whole heap in
-#: each worker — by far the dominant fan-out cost for check batches —
-#: so the workers stay warm across batches.  The executor's own
-#: ``atexit`` hook reaps them at interpreter shutdown.
-_POOL_SLOT: List = [None]
-_POOL_JOBS: int = 0
-
-
-def _pool_slot(jobs: int) -> List:
-    """The process-wide pool slot, recycled when ``jobs`` changes."""
-    global _POOL_JOBS
-    if _POOL_JOBS != jobs:
-        if _POOL_SLOT[0] is not None:
-            _POOL_SLOT[0].shutdown(wait=False)
-            _POOL_SLOT[0] = None
-        _POOL_JOBS = jobs
-    return _POOL_SLOT
-
-
 def run_check_specs(
-    specs: Sequence[CheckSpec],
-    jobs: int = 1,
-    vcache=None,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-    backoff: float = 0.05,
+    specs: Sequence[CheckSpec], jobs: int = 1, cache=None
 ) -> List[CheckOutput]:
     """Execute ``specs``, returning outputs in submission order.
 
-    ``vcache`` (a :class:`~repro.analysis.vcache.VerdictCache`) serves
-    already-proved specs without execution and receives every fresh
-    output the moment it completes (salvage-at-delivery, same contract
-    as the experiment engine).  ``jobs > 1`` fans the cache misses
-    across a process pool with per-spec ``timeout``/``retries``; any
-    spec that ultimately fails raises
-    :class:`~repro.errors.EngineError` carrying the per-spec failure
-    log and the completed outputs.
+    ``cache`` (a :class:`~repro.experiments.parallel.ResultCache`)
+    serves already-checked specs without execution and receives every
+    fresh output; duplicate specs are checked once.  ``jobs > 1`` maps
+    the cache misses across a process pool.
     """
-    from repro.experiments.parallel import (
-        _BatchState,
-        _run_inline,
-        _run_pool,
-        _Task,
-    )
+    from repro.experiments.parallel import cached_map
 
-    state = _BatchState(
-        vcache, None, "ctcheck", timeout, retries, backoff
-    )
-    keys = [spec.key() for spec in specs]
-    tasks: List[_Task] = []
-    seen: set = set()
-    for spec, key in zip(specs, keys):
-        if key in seen:
-            continue  # duplicate target in one batch: check once
-        seen.add(key)
-        if vcache is not None:
-            hit = vcache.get(key)
-            if hit is not None:
-                state.results[key] = hit
-                continue
-        tasks.append(_Task(spec, key))
-
-    if tasks:
-        if jobs > 1 and len(tasks) > 1:
-            leftover = _run_pool(
-                tasks, jobs, state, fn=check_target,
-                pool_slot=_pool_slot(jobs),
-            )
-        else:
-            leftover = list(tasks)
-        if leftover:
-            _run_inline(leftover, state, fn=check_target)
-
-    if state.failures:
-        raise EngineError(
-            state.failures,
-            completed=dict(state.results),
-            total=len(set(keys)),
-        )
-    return [state.results[key] for key in keys]
+    return cached_map(check_target, specs, jobs, cache)

@@ -66,11 +66,6 @@ def non_negative_int(text: str) -> int:
     return _number(int, text, lambda v: v >= 0, "a non-negative integer")
 
 
-def positive_float(text: str) -> float:
-    """argparse ``type``: a number > 0, else a usage error."""
-    return _number(float, text, lambda v: v > 0, "a positive number")
-
-
 def _cmd_run(args) -> int:
     workload = WORKLOADS[args.workload]
     size = workload.sizes[-1] if args.size is None else args.size
@@ -139,18 +134,6 @@ def _cmd_experiments(args) -> int:
         argv = [f"--jobs={args.jobs}"] + argv
     if args.no_cache:
         argv = ["--no-cache"] + argv
-    if args.timeout is not None:
-        argv = [f"--timeout={args.timeout}"] + argv
-    if args.retries:
-        argv = [f"--retries={args.retries}"] + argv
-    if args.run_log:
-        argv = [f"--run-log={args.run_log}"] + argv
-    if args.run_dir:
-        argv = [f"--run-dir={args.run_dir}"] + argv
-    if args.resume:
-        argv = [f"--resume={args.resume}"] + argv
-    if args.from_store:
-        argv = [f"--from-store={args.from_store}"] + argv
     return experiments_main(argv)
 
 
@@ -171,7 +154,7 @@ def _cmd_ctcheck(args) -> int:
         name for name in args.program or [] if name not in BUILTIN_PROGRAM_SPECS
     ]
     if unknown:
-        raise SystemExit(
+        args.parser.error(
             f"unknown program(s) {unknown}; "
             f"choices: {sorted(BUILTIN_PROGRAM_SPECS)}"
         )
@@ -184,11 +167,17 @@ def _cmd_ctcheck(args) -> int:
     )
     if args.no_workloads:
         include_workloads = False
-    vcache = None
+    cache = None
     if args.vcache:
-        from repro.analysis.vcache import VerdictCache
+        from repro.experiments.parallel import ResultCache
 
-        vcache = VerdictCache(args.vcache)
+        try:
+            cache = ResultCache(args.vcache)
+        except OSError as exc:
+            args.parser.error(
+                f"--vcache {args.vcache}: cannot use as a cache "
+                f"directory ({exc.strerror})"
+            )
     result = run_ctcheck(
         programs=programs,
         workloads=workloads,
@@ -200,14 +189,14 @@ def _cmd_ctcheck(args) -> int:
         repair=args.repair,
         repair_max_rounds=args.max_rounds,
         jobs=args.jobs,
-        vcache=vcache,
+        cache=cache,
     )
-    if vcache is not None:
+    if cache is not None:
         # Engine stats go to stderr so --json stdout stays
         # byte-identical between cold, warm, and parallel runs.
         print(
-            f"ctcheck engine: {vcache.stats.misses} target(s) checked, "
-            f"{vcache.stats.hits} served from verdict cache",
+            f"ctcheck engine: {cache.stats.misses} target(s) checked, "
+            f"{cache.stats.hits} served from verdict cache",
             file=sys.stderr,
         )
     if args.repair and args.repair_out:
@@ -318,44 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the on-disk result cache (.repro_results/)",
     )
-    experiments.add_argument(
-        "--timeout",
-        type=positive_float,
-        default=None,
-        help="per-simulation wall-time budget in seconds",
-    )
-    experiments.add_argument(
-        "--retries",
-        type=non_negative_int,
-        default=0,
-        help="retry failing/hanging simulations this many times",
-    )
-    experiments.add_argument(
-        "--run-log",
-        default=None,
-        help="write the telemetry run log (JSONL, one record per attempt)",
-    )
-    experiments.add_argument(
-        "--run-dir",
-        default=None,
-        metavar="DIR",
-        help="crash-safe run directory: manifest + durable results + "
-        "streaming telemetry (resumable with --resume DIR)",
-    )
-    experiments.add_argument(
-        "--resume",
-        default=None,
-        metavar="DIR",
-        help="finish an interrupted sweep from its run directory "
-        "(already-durable specs are served from the store)",
-    )
-    experiments.add_argument(
-        "--from-store",
-        default=None,
-        metavar="DIR",
-        help="rebuild targets offline from a run directory's store "
-        "(missing specs error instead of simulating)",
-    )
     experiments.set_defaults(fn=_cmd_experiments)
 
     ctcheck = sub.add_parser(
@@ -463,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         "their previous findings bit-identically; any IR mutation, "
         "checker-config change, or version bump forces a re-check",
     )
-    ctcheck.set_defaults(fn=_cmd_ctcheck)
+    ctcheck.set_defaults(fn=_cmd_ctcheck, parser=ctcheck)
 
     bench = sub.add_parser(
         "bench",
@@ -471,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--repeats",
-        type=int,
+        type=positive_int,
         default=3,
         help="best-of-N for throughputs, min-of-N for wall times",
     )

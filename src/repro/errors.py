@@ -9,9 +9,6 @@ misuse that would silently break the constant-time guarantee).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -42,16 +39,6 @@ class AllocationError(MemoryError_):
     """The allocator could not satisfy a request (exhausted or invalid)."""
 
 
-class StoreError(ReproError):
-    """The persistent result store or sweep manifest is unusable.
-
-    Raised by :mod:`repro.experiments.store` for mid-file corruption
-    (a torn *trailing* record is tolerated and skipped instead),
-    writes to a read-only store, or a resume attempt on a directory
-    with no manifest.
-    """
-
-
 class TransformError(ReproError):
     """An IR rewrite (:mod:`repro.lang.transforms`) cannot apply.
 
@@ -70,71 +57,6 @@ class ProtocolError(ReproError):
     mitigation context to load through a DS that does not contain the
     requested address.
     """
-
-
-@dataclass
-class SpecFailure:
-    """One spec's terminal failure inside an engine batch.
-
-    Collected by :func:`repro.experiments.parallel.run_many` while the
-    rest of the batch keeps running; the full list rides on the
-    :class:`EngineError` raised once the batch drains.
-
-    ``kind`` distinguishes the failure mode: ``"error"`` (the spec's
-    simulation raised), ``"timeout"`` (it exceeded the per-spec
-    timeout), or ``"crash"`` (its worker process died).
-    """
-
-    spec: Any
-    key: str
-    kind: str
-    attempts: int
-    error: Optional[str] = None
-    wall_time: float = 0.0
-
-    def describe(self) -> str:
-        detail = f": {self.error}" if self.error else ""
-        return (
-            f"{self.spec!r} [{self.kind} after "
-            f"{self.attempts} attempt{'s' if self.attempts != 1 else ''}]"
-            f"{detail}"
-        )
-
-
-class EngineError(ReproError):
-    """A batch finished, but some specs failed beyond their retry budget.
-
-    The engine is salvage-first: every spec that *did* complete has
-    already been stored in the result cache before this is raised, so a
-    re-run only re-simulates the failures.  The exception carries the
-    structured per-spec failure log:
-
-    ``failures``
-        ``List[SpecFailure]`` — exactly the specs that did not produce
-        a result, each with its failure kind, attempt count, and last
-        error text.
-    ``completed``
-        ``Dict[key, result]`` — the salvaged results of this batch
-        (keyed by spec content hash), for callers that want partial
-        output instead of a re-run.
-    """
-
-    def __init__(
-        self,
-        failures: List[SpecFailure],
-        completed: Optional[Dict[str, Any]] = None,
-        total: Optional[int] = None,
-    ) -> None:
-        self.failures = list(failures)
-        self.completed = dict(completed or {})
-        self.total = total if total is not None else (
-            len(self.failures) + len(self.completed)
-        )
-        lines = "\n".join(f"  - {f.describe()}" for f in self.failures)
-        super().__init__(
-            f"{len(self.failures)}/{self.total} spec(s) failed "
-            f"({len(self.completed)} result(s) salvaged):\n{lines}"
-        )
 
 
 class SecurityViolationError(ReproError):

@@ -68,18 +68,9 @@ def build_context(
     config: Optional[MachineConfig] = None,
     costs: Optional[CostModel] = None,
     fetch_threshold: Optional[int] = None,
-    machine: Optional[Machine] = None,
 ) -> MitigationContext:
-    """Build a fresh machine + mitigation context for ``scheme``.
-
-    ``machine`` optionally supplies an already-built machine to wrap
-    (the warm-start pools of :mod:`repro.experiments.parallel` restore
-    a pristine snapshot onto a pooled machine instead of paying for
-    construction); its configuration must match what the scheme would
-    have built.
-    """
-    if machine is None:
-        machine = Machine(scheme_config(scheme, config, costs))
+    """Build a fresh machine + mitigation context for ``scheme``."""
+    machine = Machine(scheme_config(scheme, config, costs))
     if scheme == "insecure":
         return InsecureContext(machine)
     if scheme == "ct":

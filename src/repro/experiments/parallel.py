@@ -1,108 +1,56 @@
-"""Parallel experiment engine with a content-addressed result cache.
+"""Experiment engine: a content-addressed result cache and a pool map.
 
 Every figure/table in the paper reduces to a bag of independent
 ``(workload, size, scheme, seed)`` simulations — each builds a fresh
 machine, so there is no shared state and the bag is embarrassingly
 parallel.  This module provides the engine the experiment layer runs
-on:
+on, and the two mechanisms the verification engine
+(:mod:`repro.analysis.engine`) shares with it:
 
 * :class:`RunSpec` — a hashable description of one simulation.  Its
   :meth:`~RunSpec.key` is a content hash over the spec's fields *and*
   :data:`repro.__version__`, so cached results are invalidated
   automatically when the simulator version bumps.
-* :class:`ResultCache` — an in-memory map of ``key -> RunResult``,
+* :class:`ResultCache` — a content-addressed ``key -> value`` map,
   optionally backed by a directory of pickle files (one per key) so
-  results survive across processes.  Figures 2/7/8 all share the same
-  ``insecure`` baselines; with a cache they are simulated once.
-* :func:`run_many` — execute a sequence of specs, deduplicating
-  identical specs, consulting the cache, and fanning the remaining
-  work across a :class:`~concurrent.futures.ProcessPoolExecutor` when
-  ``jobs > 1``.
-* :func:`parallel_sweep` — drop-in replacement for
-  :func:`repro.experiments.runner.sweep` returning the identical
-  ``{size: {scheme: RunResult}}`` mapping.
-* :class:`MachineTemplatePool` — per-process warm-start pool: sweep
-  points sharing a config prefix (the ``(scheme, config,
-  fetch_threshold)`` triple) reuse one pooled machine restored from a
-  pristine :meth:`~repro.core.machine.Machine.save_state` snapshot
-  instead of rebuilding the machine per run; :func:`use_warm_pool`
-  switches the behaviour off.
+  entries survive across processes.  It holds simulation results and
+  ctcheck verdicts alike; figures 2/7/8 share the same ``insecure``
+  baselines, so with a cache they are simulated once.
+* :func:`cached_map` — apply a work function to a sequence of specs:
+  identical specs run once, cached ones not at all, and the remaining
+  misses go through :func:`pool_map`, a plain ordered map over
+  ``jobs`` worker processes.
+* :func:`run_many` / :func:`parallel_sweep` — the simulation front
+  ends; ``parallel_sweep`` returns the ``{size: {scheme: RunResult}}``
+  mapping of :func:`repro.experiments.runner.sweep`.
 
 Determinism: a spec fully determines its machine (pristine state per
 run, seeded RNGs, seeded replacement policies), so a worker process
-produces bit-identical counters to an in-process run, and a pooled
-run bit-identical counters to a fresh-machine run.  The test suite
+produces bit-identical counters to an in-process run.  The test suite
 asserts ``parallel_sweep(jobs=4)`` is counter-identical to the serial
-``sweep`` and pooled runs counter-identical to unpooled.
-
-Fault tolerance (the engine contract)
--------------------------------------
-
-One failing spec must never cost the rest of the batch.  ``run_many``
-submits each unique spec individually and collects completions as they
-arrive, so:
-
-* a spec whose simulation **raises** is retried up to ``retries``
-  times with exponential backoff, then recorded as failed;
-* a spec that **exceeds the per-spec timeout** is abandoned (its
-  worker keeps the slot until it returns; the result is discarded) and
-  retried/failed the same way — in serial mode the timeout is
-  enforced post-hoc, since an in-process run cannot be preempted;
-* a **worker-process death** (``BrokenProcessPool``) fails only the
-  in-flight specs as "crash" attempts, then the pool is respawned (a
-  bounded number of times) and work resumes; if the pool cannot be
-  (re)created at all — e.g. sandboxes that forbid ``fork`` — the
-  engine degrades to in-process execution;
-* every completed result is delivered to the cache *immediately*, so
-  when the batch ultimately fails the successes are salvaged and the
-  raised :class:`~repro.errors.EngineError` carries the per-spec
-  failure log (kind, attempts, last error) plus the salvaged results.
-
-Telemetry: pass a :class:`~repro.experiments.telemetry.RunTelemetry`
-(argument or :func:`configure` default) to receive one record per
-attempt plus progress callbacks; see that module for the JSONL run-log
-format.
-
-Durability (checkpoint/resume): pass a
-:class:`~repro.experiments.store.RunDirectory` (or bare
-:class:`~repro.experiments.store.ResultStore`) as ``store=``.  The
-batch's unique specs are registered in the sweep manifest *before*
-execution starts, every completed result is appended durably as its
-future completes (salvage-at-delivery included), and specs whose
-results are already durable are served from the store — telemetry
-outcome ``"stored"`` — without re-simulation.
-:func:`repro.experiments.store.resume` replays a manifest after a
-crash; ``offline=True`` turns a missing result into an
-:class:`~repro.errors.EngineError` instead of a simulation, which is
-how reports are rebuilt offline from a run directory.
+``sweep``.  A simulation that raises propagates out of the batch.
 
 Process-global defaults (used by the CLI's ``--jobs`` / ``--no-cache``
-/ ``--timeout`` / ``--retries`` flags) are set with :func:`configure`;
-explicit arguments always win.
+flags) are set with :func:`configure`; explicit arguments always win.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import pickle
-import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import repro
-from repro.core.machine import Machine, MachineConfig, MachineState
-from repro.ct.context import MitigationContext
-from repro.errors import ConfigurationError, EngineError, SpecFailure
-from repro.experiments.config import build_context
-from repro.experiments.faults import FAULT_PLAN_ENV
+from repro.core.machine import MachineConfig
+from repro.errors import ConfigurationError
 from repro.experiments.runner import RunResult, run_crypto, run_workload
-from repro.experiments.telemetry import RunRecord, RunTelemetry
 
 #: Default on-disk cache directory (relative to the current working
 #: directory) used by the CLI when caching is enabled.
@@ -152,20 +100,8 @@ class RunSpec:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def run(self) -> RunResult:
-        """Execute this spec in this process.
-
-        When the process-wide warm-start pool is enabled (the default,
-        see :func:`use_warm_pool`), specs sharing a config prefix reuse
-        one pooled machine restored from its pristine snapshot instead
-        of rebuilding it; results are identical either way.
-        """
-        pool = _warm_pool
+        """Execute this spec in this process, on a fresh machine."""
         if self.kind == "workload":
-            ctx = (
-                pool.context_for(self.scheme, self.config, self.fetch_threshold)
-                if pool is not None
-                else None
-            )
             return run_workload(
                 self.workload,
                 self.size,
@@ -173,20 +109,10 @@ class RunSpec:
                 seed=self.seed,
                 config=self.config,
                 fetch_threshold=self.fetch_threshold,
-                ctx=ctx,
             )
         if self.kind == "crypto":
-            ctx = (
-                pool.context_for(self.scheme, self.config)
-                if pool is not None
-                else None
-            )
             return run_crypto(
-                self.workload,
-                self.scheme,
-                seed=self.seed,
-                config=self.config,
-                ctx=ctx,
+                self.workload, self.scheme, seed=self.seed, config=self.config
             )
         raise ConfigurationError(
             f"unknown RunSpec kind {self.kind!r}; choices: workload, crypto"
@@ -194,17 +120,7 @@ class RunSpec:
 
 
 def run_spec(spec: RunSpec) -> RunResult:
-    """Top-level trampoline so specs can cross a process boundary.
-
-    Test-only hook: when the :data:`~repro.experiments.faults.
-    FAULT_PLAN_ENV` environment variable is armed (resilience tests
-    only — never in production runs), a matching fault rule may raise,
-    delay, or kill this process before the simulation starts.
-    """
-    if os.environ.get(FAULT_PLAN_ENV):
-        from repro.experiments.faults import maybe_inject
-
-        maybe_inject(spec)
+    """Top-level trampoline so specs can cross a process boundary."""
     return spec.run()
 
 
@@ -213,7 +129,11 @@ def run_spec(spec: RunSpec) -> RunResult:
 
 @dataclass(slots=True)
 class CacheStats:
-    """Cache activity counters (tests assert warm runs hit every time)."""
+    """Cache activity counters.
+
+    ``misses`` counts entries that had to be computed; tests and CI's
+    warm ctcheck pass assert it is zero on an unchanged tree.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -221,166 +141,75 @@ class CacheStats:
 
 
 class ResultCache:
-    """Content-addressed ``key -> RunResult`` store.
+    """Content-addressed ``key -> value`` store shared by both engines.
 
-    With ``path=None`` the cache lives only in this process (useful for
-    sharing baselines across the figures of one report run).  With a
-    directory path each result is additionally pickled to
-    ``<path>/<key>.pkl`` and re-read on a memory miss, so a second
-    invocation of the experiment CLI re-simulates nothing.
+    Values are :class:`~repro.experiments.runner.RunResult` objects
+    (keyed by :meth:`RunSpec.key`) and ctcheck
+    :class:`~repro.analysis.engine.CheckOutput` verdicts (keyed by
+    :meth:`~repro.analysis.engine.CheckSpec.key`); the keys never
+    collide because each hashes a different payload.
 
-    Corrupt or unreadable cache files are treated as misses — the run
-    is simply recomputed and the file rewritten.
+    With ``path=None`` the cache lives only in this process.  With a
+    directory path (created on construction, so an unusable path fails
+    here rather than on the first write) each entry is also pickled to
+    ``<path>/<key>.pkl``: written to a temporary file, flushed and
+    fsync'd, then moved into place with :func:`os.replace`, so a crash
+    leaves either the whole entry or none of it.  A file that cannot be
+    read is a miss — the entry is recomputed and the file rewritten.
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self._memory: Dict[str, RunResult] = {}
+        self._memory: Dict[str, object] = {}
         self.stats = CacheStats()
+        if path is not None:
+            os.makedirs(path, exist_ok=True)
 
     def _file_for(self, key: str) -> str:
         assert self.path is not None
         return os.path.join(self.path, key + ".pkl")
 
-    def get(self, key: str) -> Optional[RunResult]:
-        result = self._memory.get(key)
-        if result is not None:
-            self.stats.hits += 1
-            return result
-        if self.path is not None:
+    def get(self, key: str):
+        """The cached value for ``key``, or ``None`` (counted a miss)."""
+        value = self._memory.get(key)
+        if value is None and self.path is not None:
             try:
                 with open(self._file_for(key), "rb") as fh:
-                    result = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-                result = None
-            if isinstance(result, RunResult):
-                self._memory[key] = result
-                self.stats.hits += 1
-                return result
-        self.stats.misses += 1
-        return None
+                    value = pickle.load(fh)
+            except (OSError, EOFError, pickle.UnpicklingError,
+                    AttributeError, ImportError):
+                value = None  # missing, torn or stale: recompute
+            if value is not None:
+                self._memory[key] = value
+        if value is None:
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
+        return value
 
-    def put(self, key: str, result: RunResult) -> None:
-        self._memory[key] = result
+    def put(self, key: str, value: object) -> None:
+        """Store one entry, durably when the cache is on disk."""
+        self._memory[key] = value
         self.stats.stores += 1
-        if self.path is not None:
-            tmp = self._file_for(key) + ".tmp"
-            try:
-                os.makedirs(self.path, exist_ok=True)
-                with open(tmp, "wb") as fh:
-                    pickle.dump(result, fh)
-                os.replace(tmp, self._file_for(key))
-            except OSError:  # pragma: no cover - disk full etc.
-                pass
+        if self.path is None:
+            return
+        fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self._file_for(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def clear(self) -> None:
         self._memory.clear()
         if self.path is not None and os.path.isdir(self.path):
             for name in os.listdir(self.path):
                 if name.endswith(".pkl"):
-                    try:
-                        os.remove(os.path.join(self.path, name))
-                    except OSError:  # pragma: no cover
-                        pass
-
-
-# -- warm-start machine pool ---------------------------------------------------
-
-
-@dataclass(slots=True)
-class WarmPoolStats:
-    """Pool activity counters (tests assert reuse actually happens)."""
-
-    builds: int = 0
-    reuses: int = 0
-
-
-class MachineTemplatePool:
-    """Per-process reuse of machines across specs sharing a config prefix.
-
-    Every spec whose ``(scheme, config, fetch_threshold)`` triple — the
-    *config prefix* that fully determines machine construction — matches
-    an earlier spec starts from the same pristine machine state.  The
-    pool builds that machine once, captures a snapshot with
-    :meth:`repro.core.machine.Machine.save_state`, and for every later
-    spec restores the snapshot onto the pooled machine instead of
-    re-running construction (cache arrays, BIA tables, DRAM banks,
-    hierarchy wiring).  Restoration is observationally complete — the
-    equivalence tests assert pooled runs are counter-identical to
-    fresh-machine runs — so the engine's determinism contract holds.
-
-    The pool is strictly per-process: each worker of the parallel
-    engine grows its own, which is exactly the domain where reusing a
-    machine object is safe (runs within one process are serial).  A
-    checked-out context is valid until the next ``context_for`` call
-    with the same key; callers attaching external observers to the
-    pooled machine must detach them before returning control.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[tuple, tuple] = {}
-        self.stats = WarmPoolStats()
-
-    def context_for(
-        self,
-        scheme: str,
-        config: Optional[MachineConfig] = None,
-        fetch_threshold: Optional[int] = None,
-    ) -> MitigationContext:
-        """A context for this prefix, on a machine in pristine state."""
-        key = (scheme, config, fetch_threshold)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.stats.builds += 1
-            ctx = build_context(
-                scheme, config=config, fetch_threshold=fetch_threshold
-            )
-            self._entries[key] = (ctx.machine, ctx.machine.save_state())
-            return ctx
-        self.stats.reuses += 1
-        machine, pristine = entry
-        machine.restore_state(pristine)
-        return build_context(
-            scheme,
-            config=config,
-            fetch_threshold=fetch_threshold,
-            machine=machine,
-        )
-
-    def snapshot_for(
-        self,
-        scheme: str,
-        config: Optional[MachineConfig] = None,
-        fetch_threshold: Optional[int] = None,
-    ) -> Tuple[Machine, MachineState]:
-        """The pooled ``(machine, pristine snapshot)`` pair for a prefix."""
-        key = (scheme, config, fetch_threshold)
-        if key not in self._entries:
-            self.context_for(scheme, config, fetch_threshold)
-        return self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: The process-wide pool :meth:`RunSpec.run` draws from.  ``None``
-#: disables warm starts (every spec builds a fresh machine).
-_warm_pool: Optional[MachineTemplatePool] = MachineTemplatePool()
-
-
-def warm_pool() -> Optional[MachineTemplatePool]:
-    """The active warm-start pool (``None`` when disabled)."""
-    return _warm_pool
-
-
-def use_warm_pool(enabled: bool = True) -> Optional[MachineTemplatePool]:
-    """Enable (with a fresh pool) or disable engine warm starts."""
-    global _warm_pool
-    _warm_pool = MachineTemplatePool() if enabled else None
-    return _warm_pool
+                    os.remove(os.path.join(self.path, name))
 
 
 # -- process-global defaults ---------------------------------------------------
@@ -391,652 +220,104 @@ _UNSET = object()
 class EngineSettings(NamedTuple):
     """Snapshot of the process-wide engine defaults.
 
-    Field order keeps the historical ``(jobs, cache)`` unpacking of
-    :func:`current_settings` working; restore with
-    ``configure(**settings._asdict())``.
+    Restore with ``configure(**settings._asdict())``.
     """
 
-    jobs: int
-    cache: Optional[ResultCache]
-    timeout: Optional[float]
-    retries: int
-    backoff: float
-    telemetry: Optional[RunTelemetry]
-    store: Optional[object]
-    offline: bool
+    jobs: int = 1
+    cache: Optional[ResultCache] = None
 
 
-class _Settings:
-    __slots__ = ("jobs", "cache", "timeout", "retries", "backoff",
-                 "telemetry", "store", "offline")
-
-    def __init__(self) -> None:
-        self.jobs: int = 1
-        self.cache: Optional[ResultCache] = None
-        #: per-spec wall-time budget in seconds (None = unlimited)
-        self.timeout: Optional[float] = None
-        #: extra attempts after the first failure (0 = fail fast)
-        self.retries: int = 0
-        #: base of the exponential retry backoff, in seconds
-        self.backoff: float = 0.05
-        self.telemetry: Optional[RunTelemetry] = None
-        #: durable result store (RunDirectory/ResultStore) or None
-        self.store: Optional[object] = None
-        #: offline mode: missing results raise instead of simulating
-        self.offline: bool = False
+_settings = EngineSettings()
 
 
-_settings = _Settings()
+def _checked_jobs(jobs) -> int:
+    if jobs is None or int(jobs) < 1:
+        raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
+    return int(jobs)
 
 
-def configure(
-    jobs=_UNSET,
-    cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    backoff=_UNSET,
-    telemetry=_UNSET,
-    store=_UNSET,
-    offline=_UNSET,
-) -> None:
+def configure(jobs=_UNSET, cache=_UNSET) -> None:
     """Set process-wide defaults for :func:`run_many`.
 
-    The CLI calls this once from its ``--jobs`` / ``--no-cache`` /
-    ``--timeout`` / ``--retries`` flags; library callers normally pass
-    explicit arguments instead.
+    The CLI calls this once from its ``--jobs`` / ``--no-cache`` flags;
+    library callers normally pass explicit arguments instead.
     """
+    global _settings
     if jobs is not _UNSET:
-        if jobs is None or int(jobs) < 1:
-            raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
-        _settings.jobs = int(jobs)
+        _settings = _settings._replace(jobs=_checked_jobs(jobs))
     if cache is not _UNSET:
-        _settings.cache = cache
-    if timeout is not _UNSET:
-        if timeout is not None and float(timeout) <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive or None: {timeout!r}"
-            )
-        _settings.timeout = None if timeout is None else float(timeout)
-    if retries is not _UNSET:
-        if retries is None or int(retries) < 0:
-            raise ConfigurationError(
-                f"retries must be a non-negative int: {retries!r}"
-            )
-        _settings.retries = int(retries)
-    if backoff is not _UNSET:
-        if backoff is None or float(backoff) < 0:
-            raise ConfigurationError(
-                f"backoff must be a non-negative float: {backoff!r}"
-            )
-        _settings.backoff = float(backoff)
-    if telemetry is not _UNSET:
-        _settings.telemetry = telemetry
-    if store is not _UNSET:
-        _settings.store = store
-    if offline is not _UNSET:
-        _settings.offline = bool(offline)
+        _settings = _settings._replace(cache=cache)
 
 
 def current_settings() -> EngineSettings:
     """The active engine defaults — introspection and save/restore."""
-    return EngineSettings(
-        jobs=_settings.jobs,
-        cache=_settings.cache,
-        timeout=_settings.timeout,
-        retries=_settings.retries,
-        backoff=_settings.backoff,
-        telemetry=_settings.telemetry,
-        store=_settings.store,
-        offline=_settings.offline,
-    )
+    return _settings
 
 
 # -- execution ----------------------------------------------------------------
 
-#: How many times a broken process pool is respawned before the engine
-#: degrades to in-process execution for the remaining specs.
-POOL_RESPAWN_LIMIT = 2
 
-#: Poll interval (seconds) of the completion loop when per-spec
-#: timeouts or retry backoffs may need servicing between completions.
-_POLL_INTERVAL = 0.05
+def pool_map(fn: Callable, items: Sequence, jobs: int) -> List:
+    """``[fn(item) for item in items]``, across ``jobs`` processes.
 
-#: Submission depth: keep up to ``jobs * _QUEUE_DEPTH`` futures in
-#: flight so workers never starve between poll iterations.
-_QUEUE_DEPTH = 2
-
-
-class _Task:
-    """Engine-internal per-unique-spec execution state."""
-
-    __slots__ = ("spec", "key", "attempts", "crashes", "not_before")
-
-    def __init__(self, spec: RunSpec, key: str) -> None:
-        self.spec = spec
-        self.key = key
-        self.attempts = 0  # simulation attempts actually started
-        self.crashes = 0  # attempts lost to worker-process deaths
-        self.not_before = 0.0  # monotonic deadline for the next attempt
+    Runs in this process when ``jobs == 1`` or there is at most one
+    item.  ``fn`` must be a picklable top-level callable.  Workers
+    freeze the heap they inherit from the fork (:func:`gc.freeze`), so
+    their collections scan only worker-created objects; on checker
+    batches this removes a ~25% per-task CPU penalty over the same
+    serial run.
+    """
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    workers = min(jobs, len(items))
+    with ProcessPoolExecutor(max_workers=workers, initializer=gc.freeze) as pool:
+        return list(pool.map(fn, items))
 
 
-class _BatchState:
-    """Shared mutable state of one ``run_many`` batch."""
+def cached_map(
+    fn: Callable, specs: Sequence, jobs: int, cache: Optional[ResultCache]
+) -> List:
+    """``fn`` over content-addressed ``specs``, results in spec order.
 
-    def __init__(self, cache, telemetry, label, timeout, retries, backoff,
-                 store=None):
-        self.cache = cache
-        self.telemetry = telemetry
-        self.label = label
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.store = store
-        self.results: Dict[str, RunResult] = {}
-        self.failures: List[SpecFailure] = []
-
-    # -- telemetry ---------------------------------------------------------
-
-    def record(self, task: _Task, outcome: str, wall: float,
-               error: Optional[str], mode: str) -> None:
-        if self.telemetry is None:
-            return
-        spec = task.spec
-        self.telemetry.record(
-            RunRecord(
-                workload=spec.workload,
-                size=spec.size,
-                scheme=spec.scheme,
-                seed=spec.seed,
-                kind=spec.kind,
-                key=task.key,
-                outcome=outcome,
-                attempt=task.attempts,
-                wall_time=wall,
-                error=error,
-                cache_hit=False,
-                mode=mode,
-                label=self.label,
-            )
-        )
-
-    def record_cache_hit(self, spec: RunSpec, key: str) -> None:
-        self._record_served(spec, key, "cached", True, "cache")
-
-    def record_store_hit(self, spec: RunSpec, key: str) -> None:
-        """Spec served from the durable store: no simulation ran."""
-        self._record_served(spec, key, "stored", False, "store")
-
-    def _record_served(self, spec: RunSpec, key: str, outcome: str,
-                       cache_hit: bool, mode: str) -> None:
-        if self.telemetry is None:
-            return
-        self.telemetry.record(
-            RunRecord(
-                workload=spec.workload,
-                size=spec.size,
-                scheme=spec.scheme,
-                seed=spec.seed,
-                kind=spec.kind,
-                key=key,
-                outcome=outcome,
-                attempt=0,
-                wall_time=0.0,
-                error=None,
-                cache_hit=cache_hit,
-                mode=mode,
-                label=self.label,
-            )
-        )
-
-    # -- outcomes ----------------------------------------------------------
-
-    def deliver(self, task: _Task, result: RunResult, wall: float,
-                mode: str) -> None:
-        """A spec completed: salvage it into cache + store *now*.
-
-        Streaming delivery is the crash-safety half of the store
-        contract: the result becomes durable the moment its future
-        completes, not when the batch drains, so a later pool death
-        (or host reboot) cannot take it back.
-        """
-        self.results[task.key] = result
-        if self.cache is not None:
-            self.cache.put(task.key, result)
-        if self.store is not None:
-            self.store.put(task.key, result, spec=task.spec)
-        self.record(task, "ok", wall, None, mode)
-
-    def attempt_failed(self, task: _Task, kind: str, error: str,
-                       wall: float, mode: str) -> bool:
-        """Handle one failed attempt; True if the task will be retried.
-
-        ``kind`` is ``"error"``/``"timeout"``/``"crash"``.  Crash
-        attempts (worker-process deaths) have their own small budget —
-        tied to :data:`POOL_RESPAWN_LIMIT` — so one poisonous spec
-        killing a worker does not burn the retry budget of the
-        innocent specs that died with it.
-        """
-        if kind == "crash":
-            task.crashes += 1
-            retry = (
-                task.crashes <= POOL_RESPAWN_LIMIT
-                or task.attempts <= self.retries
-            )
+    Specs with equal :meth:`key` run once; cached specs do not run at
+    all.  The misses go through :func:`pool_map` and each result is
+    put into ``cache``.
+    """
+    jobs = _checked_jobs(jobs)
+    keys = [spec.key() for spec in specs]
+    results: Dict[str, object] = {}
+    misses: Dict[str, object] = {}  # key -> spec, submission order
+    for spec, key in zip(specs, keys):
+        if key in results or key in misses:
+            continue
+        hit = None if cache is None else cache.get(key)
+        if hit is None:
+            misses[key] = spec
         else:
-            retry = task.attempts <= self.retries
-        if retry:
-            task.not_before = time.monotonic() + self.backoff * (
-                2 ** max(task.attempts - 1, 0)
-            )
-            self.record(task, "retry", wall, error, mode)
-            return True
-        outcome = {"error": "failed", "timeout": "timeout",
-                   "crash": "crash"}[kind]
-        self.record(task, outcome, wall, error, mode)
-        self.failures.append(
-            SpecFailure(
-                spec=task.spec,
-                key=task.key,
-                kind=kind,
-                attempts=task.attempts,
-                error=error,
-                wall_time=wall,
-            )
-        )
-        return False
-
-
-def _describe(exc: BaseException) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _run_inline(tasks: Sequence[_Task], state: _BatchState,
-                fn=run_spec) -> None:
-    """Serial executor: one attempt at a time, in this process.
-
-    The per-spec timeout is enforced post-hoc (an in-process
-    simulation cannot be preempted): an attempt that comes back after
-    its budget is discarded and counted as a timeout, so the
-    spec-level outcome matches the pool executor's.
-
-    ``fn`` is the work function applied to each task's spec — the
-    experiment engine runs simulations (:func:`run_spec`), the
-    analysis engine runs checker targets; both share this executor's
-    retry/timeout/salvage contract.
-    """
-    for task in tasks:
-        while True:
-            delay = task.not_before - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            task.attempts += 1
-            start = time.monotonic()
-            error = None
-            kind = None
-            result = None
-            try:
-                result = fn(task.spec)
-            except Exception as exc:  # noqa: BLE001 - engine boundary
-                kind, error = "error", _describe(exc)
-            wall = time.monotonic() - start
-            if kind is None and (
-                state.timeout is not None and wall > state.timeout
-            ):
-                kind = "timeout"
-                error = (
-                    f"exceeded per-spec timeout of {state.timeout}s "
-                    f"(took {wall:.3f}s; enforced post-hoc in-process)"
-                )
-            if kind is None:
-                state.deliver(task, result, wall, "inline")
-                break
-            if not state.attempt_failed(task, kind, error, wall, "inline"):
-                break
-
-
-def _freeze_worker_heap() -> None:
-    """Pool-worker initializer: freeze the heap inherited from the fork.
-
-    Everything a worker inherits (imported modules, interned caches,
-    the parent's long-lived objects) is effectively immortal for the
-    worker's lifetime, yet every generational collection in the worker
-    would traverse it — touching gc headers on copy-on-write pages and
-    re-copying much of the parent heap into every worker.  Moving the
-    inherited objects into the permanent generation makes worker
-    collections scan only worker-created objects; measured on the
-    checker batches, this removes a ~25% per-task CPU penalty workers
-    otherwise pay over the identical serial run.
-    """
-    import gc
-
-    gc.freeze()
-
-
-def _spawn_pool(jobs: int) -> Optional[ProcessPoolExecutor]:
-    """Create a process pool, or None where one cannot exist.
-
-    Sandboxed environments may forbid spawning subprocesses entirely
-    (``fork``/``spawn`` raising ``OSError``/``PermissionError``); the
-    engine then degrades to in-process execution rather than failing
-    the batch.
-    """
-    try:
-        return ProcessPoolExecutor(
-            max_workers=jobs, initializer=_freeze_worker_heap
-        )
-    except (OSError, PermissionError, RuntimeError,
-            NotImplementedError):  # pragma: no cover - sandbox-dependent
-        return None
-
-
-def _degrade(crashed: List, queue, state: _BatchState) -> List["_Task"]:
-    """The pool is beyond saving: hand every live task to the caller.
-
-    The specs that were in flight when the pool died for the last time
-    (``crashed``: (task, wall) pairs) are *not* terminally failed —
-    one poisonous spec repeatedly killing workers must not take
-    innocent in-flight specs down with it.  They get a "retry"
-    telemetry record and run in-process instead (where the guilty
-    spec's failure is attributable to it alone).
-    """
-    leftover: List[_Task] = []
-    for task, wall in crashed:
-        state.record(
-            task, "retry", wall,
-            "worker process died (pool retired; continuing in-process)",
-            "pool",
-        )
-        leftover.append(task)
-    leftover.extend(queue)
-    for task in leftover:
-        task.not_before = 0.0  # no point backing off in-process
-    return leftover
-
-
-def _run_pool(tasks: Sequence[_Task], jobs: int,
-              state: _BatchState, fn=run_spec,
-              pool_slot: Optional[List] = None) -> List[_Task]:
-    """Pool executor: submit/collect with timeouts, retries, respawn.
-
-    Returns the tasks that could *not* be executed because the pool
-    kept breaking (or could never start); the caller falls back to
-    :func:`_run_inline` for those.  ``fn`` must be a picklable
-    top-level callable applied to each task's spec in the worker (see
-    :func:`_run_inline`).
-
-    ``pool_slot`` (a one-element list) lets a caller keep worker
-    processes alive across batches: the slot's pool is reused when
-    present, the live pool is stored back on exit instead of being
-    shut down, and a broken pool is replaced in the slot.  Spawning a
-    pool forks the whole parent heap and each worker re-faults the
-    touched pages copy-on-write, which costs far more than the
-    submit/collect machinery — amortizing it is what makes small
-    repeated batches profitable to parallelize at all.
-    """
-    pool = pool_slot[0] if pool_slot else None
-    if pool is None:
-        pool = _spawn_pool(jobs)
-    if pool is None:
-        return list(tasks)
-
-    queue = deque(tasks)
-    outstanding: Dict[object, List] = {}  # future -> [task, t0]
-    respawns = 0
-    # Poll between completions only when there is something to service
-    # (per-spec timeouts or backoff-delayed retries); otherwise block
-    # until a future finishes.
-    needs_polling = state.timeout is not None or state.retries > 0
-
-    try:
-        while queue or outstanding:
-            now = time.monotonic()
-            broken = False
-            #: tasks whose futures died with the pool this iteration;
-            #: their fate (crash attempt vs. rescue) is decided *after*
-            #: the respawn-budget check below, so innocent in-flight
-            #: specs are not terminally failed on the pool's last gasp.
-            crashed: List = []  # (task, wall) pairs
-
-            # -- submit every eligible queued task (bounded in-flight) --
-            for _ in range(len(queue)):
-                if len(outstanding) >= jobs * _QUEUE_DEPTH:
-                    break
-                task = queue[0]
-                if task.not_before > now:
-                    queue.rotate(-1)
-                    continue
-                queue.popleft()
-                task.attempts += 1
-                try:
-                    fut = pool.submit(fn, task.spec)
-                except (BrokenProcessPool, RuntimeError, OSError):
-                    task.attempts -= 1  # the attempt never started
-                    queue.appendleft(task)
-                    broken = True
-                    break
-                outstanding[fut] = [task, time.monotonic()]
-
-            # -- collect completions -----------------------------------
-            if outstanding and not broken:
-                done, _ = wait(
-                    set(outstanding),
-                    timeout=_POLL_INTERVAL if needs_polling else None,
-                    return_when=FIRST_COMPLETED,
-                )
-                now = time.monotonic()
-                for fut in done:
-                    task, t0 = outstanding.pop(fut)
-                    wall = now - t0
-                    try:
-                        result = fut.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        crashed.append((task, wall))
-                    except Exception as exc:  # noqa: BLE001
-                        if state.attempt_failed(
-                            task, "error", _describe(exc), wall, "pool"
-                        ):
-                            queue.append(task)
-                    else:
-                        state.deliver(task, result, wall, "pool")
-
-                # -- expire per-spec timeouts ----------------------------
-                if state.timeout is not None and not broken:
-                    for fut in list(outstanding):
-                        task, t0 = outstanding[fut]
-                        if now - t0 > state.timeout:
-                            del outstanding[fut]
-                            # cancel() only helps if it never started;
-                            # a running worker keeps its slot until it
-                            # returns, and its result is discarded.
-                            fut.cancel()
-                            if state.attempt_failed(
-                                task, "timeout",
-                                f"exceeded per-spec timeout of "
-                                f"{state.timeout}s", now - t0, "pool",
-                            ):
-                                queue.append(task)
-            elif queue and not broken:
-                # everything queued is backoff-delayed; sleep it off
-                delay = min(t.not_before for t in queue) - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-
-            # -- pool death: respawn (bounded) or degrade ---------------
-            if broken:
-                pool.shutdown(wait=False)
-                pool = None  # never hand a dead pool back to the slot
-                respawns += 1
-                # everything still outstanding died with the pool too
-                now = time.monotonic()
-                for fut, (task, t0) in outstanding.items():
-                    crashed.append((task, now - t0))
-                outstanding.clear()
-                if respawns > POOL_RESPAWN_LIMIT:
-                    return _degrade(crashed, queue, state)
-                for task, wall in crashed:
-                    if state.attempt_failed(
-                        task, "crash", "worker process died", wall, "pool"
-                    ):
-                        queue.append(task)
-                pool = _spawn_pool(jobs)
-                if pool is None:  # pragma: no cover - sandbox-dependent
-                    return _degrade([], queue, state)
-        return []
-    finally:
-        if pool_slot is not None:
-            pool_slot[0] = pool  # keep the workers warm for the next batch
-        elif pool is not None:
-            # wait=False: abandoned (timed-out) futures may still be
-            # running; their workers drain on their own.
-            pool.shutdown(wait=False)
+            results[key] = hit
+    computed = pool_map(fn, list(misses.values()), jobs)
+    for key, result in zip(misses, computed):
+        results[key] = result
+        if cache is not None:
+            cache.put(key, result)
+    return [results[key] for key in keys]
 
 
 def run_many(
-    specs: Sequence[RunSpec],
-    jobs=_UNSET,
-    cache=_UNSET,
-    timeout=_UNSET,
-    retries=_UNSET,
-    backoff=_UNSET,
-    telemetry=_UNSET,
-    store=_UNSET,
-    offline=_UNSET,
-    label: Optional[str] = None,
+    specs: Sequence[RunSpec], jobs=_UNSET, cache=_UNSET
 ) -> List[RunResult]:
     """Execute ``specs``, returning results in the same order.
 
     Identical specs (equal content keys) are simulated once; cached
     results are reused without simulation.  With ``jobs > 1`` the
     outstanding unique specs are fanned across a process pool.
-
-    Fault tolerance: failing/hanging/crashing specs are retried up to
-    ``retries`` times (exponential backoff starting at ``backoff``
-    seconds, per-attempt wall-time budget ``timeout``); if any spec
-    still fails, every *successful* result is cached first and an
-    :class:`~repro.errors.EngineError` is raised carrying the per-spec
-    failure log and the salvaged results.  ``label`` tags this batch's
-    telemetry records (figures/tables pass their target name).
-
-    Durability: with ``store=`` (a :class:`~repro.experiments.store.
-    RunDirectory` or :class:`~repro.experiments.store.ResultStore`)
-    the batch's unique specs are registered in the sweep manifest
-    before execution, completed results are appended durably as they
-    arrive, and already-durable specs are served from the store
-    without re-simulation.  ``offline=True`` forbids simulation: a
-    spec not served by the cache or store raises an
-    :class:`~repro.errors.EngineError` whose failures have kind
-    ``"missing"`` (used to rebuild reports offline from a run
-    directory).
+    Arguments left out default to the :func:`configure` settings.
     """
     if jobs is _UNSET:
         jobs = _settings.jobs
     if cache is _UNSET:
         cache = _settings.cache
-    if timeout is _UNSET:
-        timeout = _settings.timeout
-    if retries is _UNSET:
-        retries = _settings.retries
-    if backoff is _UNSET:
-        backoff = _settings.backoff
-    if telemetry is _UNSET:
-        telemetry = _settings.telemetry
-    if store is _UNSET:
-        store = _settings.store
-    if offline is _UNSET:
-        offline = _settings.offline
-    offline = bool(offline)
-    if jobs is None or int(jobs) < 1:
-        raise ConfigurationError(f"jobs must be a positive int: {jobs!r}")
-    jobs = int(jobs)
-    if retries is None or int(retries) < 0:
-        raise ConfigurationError(
-            f"retries must be a non-negative int: {retries!r}"
-        )
-    retries = int(retries)
-
-    state = _BatchState(
-        cache, telemetry, label, timeout, retries, backoff,
-        store=None if offline else store,
-    )
-
-    keys = [spec.key() for spec in specs]
-    tasks: List[_Task] = []
-    cached_hits: List = []  # (spec, key) pairs served from cache
-    stored_hits: List = []  # (spec, key) pairs served from the store
-    unique: List = []  # (spec, key) pairs, dedup'd, submission order
-    seen: set = set()  # O(1) dedup membership (keeps `tasks` ordered)
-    for spec, key in zip(specs, keys):
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append((spec, key))
-        if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                state.results[key] = hit
-                cached_hits.append((spec, key))
-                # a cache hit still becomes durable: the store must end
-                # the batch spec-complete or a resume would re-simulate
-                if store is not None and not offline and key not in store:
-                    store.put(key, hit, spec=spec)
-                continue
-        if store is not None:
-            hit = store.get(key)
-            if hit is not None:
-                state.results[key] = hit
-                stored_hits.append((spec, key))
-                continue
-        tasks.append(_Task(spec, key))
-
-    # The manifest is written before the first simulation starts, so a
-    # crash at any later point leaves enough on disk to resume from.
-    if store is not None and not offline:
-        register = getattr(store, "register_specs", None)
-        if register is not None:
-            register(
-                unique,
-                settings={
-                    "jobs": jobs,
-                    "timeout": timeout,
-                    "retries": retries,
-                    "backoff": backoff,
-                },
-            )
-
-    if telemetry is not None:
-        telemetry.expect(len(cached_hits) + len(stored_hits) + len(tasks))
-    for spec, key in cached_hits:
-        state.record_cache_hit(spec, key)
-    for spec, key in stored_hits:
-        state.record_store_hit(spec, key)
-
-    if tasks and offline:
-        for task in tasks:
-            state.failures.append(
-                SpecFailure(
-                    spec=task.spec,
-                    key=task.key,
-                    kind="missing",
-                    attempts=0,
-                    error="result not in the store (offline rebuild)",
-                )
-            )
-    elif tasks:
-        if jobs > 1 and len(tasks) > 1:
-            leftover = _run_pool(tasks, jobs, state)
-        else:
-            leftover = list(tasks)
-        if leftover:
-            _run_inline(leftover, state)
-
-    if state.failures:
-        raise EngineError(
-            state.failures,
-            completed=dict(state.results),
-            total=len(seen),
-        )
-    return [state.results[key] for key in keys]
+    return cached_map(run_spec, specs, jobs, cache)
 
 
 def parallel_sweep(
@@ -1046,8 +327,6 @@ def parallel_sweep(
     seed: int = 1,
     jobs=_UNSET,
     cache=_UNSET,
-    store=_UNSET,
-    label: Optional[str] = None,
 ) -> Dict[int, Dict[str, RunResult]]:
     """Sizes x schemes sweep with the same shape as ``runner.sweep``."""
     specs = [
@@ -1055,14 +334,7 @@ def parallel_sweep(
         for size in sizes
         for scheme in schemes
     ]
-    results = run_many(
-        specs,
-        jobs=jobs,
-        cache=cache,
-        store=store,
-        label=label or f"sweep:{workload}",
-    )
-    it = iter(results)
+    it = iter(run_many(specs, jobs=jobs, cache=cache))
     return {
         size: {scheme: next(it) for scheme in schemes} for size in sizes
     }

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
 from repro.core.machine import MachineConfig
-from repro.ct.context import MitigationContext
 from repro.experiments.config import build_context
 from repro.workloads import WORKLOADS
 from repro.workloads.crypto import run_cipher
@@ -35,20 +34,10 @@ def run_workload(
     seed: int = 1,
     config: Optional[MachineConfig] = None,
     fetch_threshold: Optional[int] = None,
-    ctx: Optional[MitigationContext] = None,
 ) -> RunResult:
-    """Execute one Table-2 workload on a fresh machine.
-
-    ``ctx`` optionally supplies a pre-built context in pristine machine
-    state (the parallel engine's warm-start pool passes one restored
-    from a snapshot instead of rebuilding the machine); it must match
-    ``scheme``/``config``/``fetch_threshold``.
-    """
+    """Execute one Table-2 workload on a fresh machine."""
     descriptor = WORKLOADS[workload]
-    if ctx is None:
-        ctx = build_context(
-            scheme, config=config, fetch_threshold=fetch_threshold
-        )
+    ctx = build_context(scheme, config=config, fetch_threshold=fetch_threshold)
     output = descriptor.run(ctx, size, seed)
     return RunResult(
         workload=workload,
@@ -65,11 +54,9 @@ def run_crypto(
     scheme: str,
     seed: int = 1,
     config: Optional[MachineConfig] = None,
-    ctx: Optional[MitigationContext] = None,
 ) -> RunResult:
     """Execute one Fig. 9 cipher on a fresh machine."""
-    if ctx is None:
-        ctx = build_context(scheme, config=config)
+    ctx = build_context(scheme, config=config)
     output = run_cipher(cipher, ctx, seed)
     return RunResult(
         workload=f"crypto:{cipher}",
@@ -95,18 +82,10 @@ def sweep(
     """Run a workload across sizes x schemes (fresh machine each run).
 
     Delegates to the parallel engine, which honours the process-wide
-    ``configure(jobs=..., cache=..., timeout=..., retries=...,
-    store=..., offline=...)`` defaults (serial, uncached, no-timeout,
-    no-retry, no store out of the box) — so figure code and tests keep
-    the old call shape while the CLI can fan the same sweeps across
-    workers and checkpoint them into a crash-safe run directory
-    (:mod:`repro.experiments.store`).  If any run fails beyond its
-    retry budget the engine raises :class:`repro.errors.EngineError`
-    after caching (and durably storing, when a store is configured)
-    every successful run of the sweep.
+    ``configure(jobs=..., cache=...)`` defaults (serial and uncached
+    out of the box) — so figure code and tests keep the old call shape
+    while the CLI can fan the same sweeps across workers.
     """
     from repro.experiments.parallel import parallel_sweep
 
-    return parallel_sweep(
-        workload, sizes, schemes, seed=seed, label=f"sweep:{workload}"
-    )
+    return parallel_sweep(workload, sizes, schemes, seed=seed)

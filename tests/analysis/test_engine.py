@@ -18,7 +18,7 @@ from repro.analysis.api import run_ctcheck
 from repro.analysis.engine import CheckSpec, check_target, run_check_specs
 from repro.analysis.symrel import expr
 from repro.analysis.symrel.solve import Solver
-from repro.analysis.vcache import VerdictCache
+from repro.experiments.parallel import ResultCache
 from repro.lang.programs import lookup_program, swap_program
 
 pytestmark = pytest.mark.ctcheck
@@ -130,9 +130,9 @@ class TestEngineExecution:
         assert [o.name for o in outputs] == ["swap", "lookup"]
 
     def test_duplicate_specs_are_checked_once(self):
-        cache = VerdictCache()
+        cache = ResultCache()
         specs = [_spec(), _spec()]
-        outputs = run_check_specs(specs, vcache=cache)
+        outputs = run_check_specs(specs, cache=cache)
         assert cache.stats.stores == 1
         assert outputs[0] is outputs[1]
 
@@ -149,16 +149,16 @@ class TestEngineExecution:
         assert _result_json(serial) == _result_json(parallel)
 
     def test_cached_run_is_byte_identical_to_fresh(self):
-        cache = VerdictCache()
+        cache = ResultCache()
         kw = dict(
             programs=["lookup"],
             include_workloads=False,
             symbolic=True,
             replay=False,
         )
-        cold = run_ctcheck(vcache=cache, **kw)
+        cold = run_ctcheck(cache=cache, **kw)
         assert cache.stats.stores == 1
-        warm = run_ctcheck(vcache=cache, **kw)
+        warm = run_ctcheck(cache=cache, **kw)
         assert cache.stats.hits >= 1
         assert _result_json(cold) == _result_json(warm)
 

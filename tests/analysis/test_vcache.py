@@ -1,11 +1,13 @@
-"""Verdict-cache correctness: content addressing and invalidation.
+"""Verdict caching: content addressing and invalidation.
 
-The cache key is the whole story: an unchanged (IR, checker config,
-toolchain version) triple must be served bit-identical findings
-without re-checking, and *any* change to that triple must force a
-genuine re-check.  These tests drive each invalidation axis — IR
-mutation, checker configuration (``--spec-window``), toolchain
-version — plus the durable JSONL segment's crash tolerance.
+ctcheck verdicts live in the experiment engine's
+:class:`~repro.experiments.parallel.ResultCache`.  The cache key is the
+whole story: an unchanged (IR, checker config, toolchain version)
+triple must be served bit-identical findings without re-checking, and
+*any* change to that triple must force a genuine re-check.  These
+tests drive each invalidation axis — IR mutation, checker
+configuration (``--spec-window``), toolchain version — plus the
+on-disk entries and one directory shared with simulation results.
 """
 
 import dataclasses
@@ -15,8 +17,8 @@ import pytest
 
 import repro
 from repro.analysis.engine import CheckSpec, run_check_specs
-from repro.analysis.vcache import SEGMENT_NAME, VerdictCache
 from repro.cli import main
+from repro.experiments.parallel import ResultCache, RunSpec, run_many
 from repro.lang import ir
 from repro.lang.programs import lookup_program
 
@@ -63,78 +65,87 @@ class TestContentAddressing:
 
 class TestServingAndInvalidation:
     def test_identical_rerun_is_served_bit_identically(self):
-        cache = VerdictCache()
-        (cold,) = run_check_specs([_spec()], vcache=cache)
+        cache = ResultCache()
+        (cold,) = run_check_specs([_spec()], cache=cache)
         assert cache.stats.stores == 1
-        (warm,) = run_check_specs([_spec()], vcache=cache)
+        (warm,) = run_check_specs([_spec()], cache=cache)
         assert cache.stats.stores == 1  # nothing re-checked
         assert cache.stats.hits == 1
         assert _findings_json(warm) == _findings_json(cold)
 
     def test_mutated_ir_is_rechecked(self):
-        cache = VerdictCache()
-        run_check_specs([_spec()], vcache=cache)
+        cache = ResultCache()
+        run_check_specs([_spec()], cache=cache)
         program = lookup_program(64)[0]
         mutated = dataclasses.replace(
             program,
             body=program.body + (ir.Const("pad", 0),),
         )
-        run_check_specs([_spec(program=mutated)], vcache=cache)
+        run_check_specs([_spec(program=mutated)], cache=cache)
         assert cache.stats.stores == 2
         assert cache.stats.hits == 0
 
     def test_spec_window_change_is_rechecked(self):
-        cache = VerdictCache()
-        run_check_specs([_spec(spec_window=0)], vcache=cache)
-        run_check_specs([_spec(spec_window=2)], vcache=cache)
+        cache = ResultCache()
+        run_check_specs([_spec(spec_window=0)], cache=cache)
+        run_check_specs([_spec(spec_window=2)], cache=cache)
         assert cache.stats.stores == 2
         assert cache.stats.hits == 0
 
     def test_version_bump_is_rechecked(self, monkeypatch):
-        cache = VerdictCache()
-        run_check_specs([_spec()], vcache=cache)
+        cache = ResultCache()
+        run_check_specs([_spec()], cache=cache)
         monkeypatch.setattr(repro, "__version__", "999.0.0")
-        run_check_specs([_spec()], vcache=cache)
+        run_check_specs([_spec()], cache=cache)
         assert cache.stats.stores == 2
         assert cache.stats.hits == 0
 
 
 class TestDurableSegment:
+    """The on-disk half: one durable pickle file per key."""
+
     def test_verdicts_survive_a_new_cache_instance(self, tmp_path):
-        first = VerdictCache(str(tmp_path))
-        (cold,) = run_check_specs([_spec()], vcache=first)
-        second = VerdictCache(str(tmp_path))
-        (warm,) = run_check_specs([_spec()], vcache=second)
+        first = ResultCache(str(tmp_path))
+        (cold,) = run_check_specs([_spec()], cache=first)
+        second = ResultCache(str(tmp_path))
+        (warm,) = run_check_specs([_spec()], cache=second)
         assert second.stats.hits == 1
         assert second.stats.stores == 0
         assert _findings_json(warm) == _findings_json(cold)
 
-    def test_torn_tail_and_garbage_lines_are_tolerated(self, tmp_path):
-        cache = VerdictCache(str(tmp_path))
-        run_check_specs([_spec()], vcache=cache)
-        segment = tmp_path / SEGMENT_NAME
-        with open(segment, "a", encoding="utf-8") as fh:
-            fh.write("not json at all\n")
-            fh.write('{"key": "k", "payload": "!!bad-base64"}\n')
-            fh.write('{"key": "torn", "payload": "eyJ')  # no newline
-        reopened = VerdictCache(str(tmp_path))
-        assert len(reopened) == 1  # only the intact verdict
-        (warm,) = run_check_specs([_spec()], vcache=reopened)
-        assert reopened.stats.hits == 1
-
-    def test_clear_removes_the_segment(self, tmp_path):
-        cache = VerdictCache(str(tmp_path))
+    def test_clear_removes_the_entry_files(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
         cache.put("k", {"v": 1})
-        assert (tmp_path / SEGMENT_NAME).exists()
+        assert (tmp_path / "k.pkl").exists()
         cache.clear()
-        assert not (tmp_path / SEGMENT_NAME).exists()
-        assert len(VerdictCache(str(tmp_path))) == 0
+        assert not (tmp_path / "k.pkl").exists()
+        assert ResultCache(str(tmp_path)).get("k") is None
 
     def test_memory_cache_needs_no_disk(self):
-        cache = VerdictCache()
+        cache = ResultCache()
         cache.put("k", {"v": 1})
         assert cache.get("k") == {"v": 1}
-        assert "k" in cache and len(cache) == 1
+        assert cache.stats.hits == 1 and cache.stats.stores == 1
+
+
+class TestSharedCache:
+    def test_one_directory_serves_runs_and_verdicts(self, tmp_path):
+        run_spec = RunSpec("histogram", 200, "insecure")
+        check_spec = _spec()
+        first = ResultCache(str(tmp_path))
+        (run,) = run_many([run_spec], cache=first)
+        (verdict,) = run_check_specs([check_spec], cache=first)
+        assert first.stats.stores == 2
+
+        reopened = ResultCache(str(tmp_path))
+        (served_run,) = run_many([run_spec], cache=reopened)
+        (served_verdict,) = run_check_specs([check_spec], cache=reopened)
+        assert reopened.stats.hits == 2
+        assert reopened.stats.misses == 0
+        assert served_run.counters == run.counters
+        assert served_run.output == run.output
+        assert _findings_json(served_verdict) == _findings_json(verdict)
+        assert served_verdict.solver_stats == verdict.solver_stats
 
 
 class TestCLI:

@@ -354,45 +354,6 @@ class TestSweepWrappers:
         assert len(vals) == len(ds.lines)
 
 
-class TestWarmPool:
-    """The experiment engine's pooled machines == fresh machines."""
-
-    SPECS = [
-        ("histogram", 200, "insecure"),
-        ("histogram", 200, "ct"),
-        ("binary_search", 128, "bia-l1d"),
-        ("histogram", 200, "bia-llc"),
-    ]
-
-    def test_pooled_runs_counter_identical_to_fresh(self):
-        from repro.experiments.parallel import (
-            RunSpec,
-            use_warm_pool,
-            warm_pool,
-        )
-
-        specs = [
-            RunSpec(w, size, scheme, seed)
-            for w, size, scheme in self.SPECS
-            for seed in (1, 2)
-        ]
-        try:
-            use_warm_pool(False)
-            fresh = [s.run() for s in specs]
-            pool = use_warm_pool(True)
-            # run twice: second pass exercises restore-and-reuse
-            pooled = [s.run() for s in specs] + [s.run() for s in specs]
-        finally:
-            use_warm_pool(True)
-        for f, p in zip(fresh + fresh, pooled):
-            assert f.counters == p.counters
-            assert f.output == p.output
-            assert f.label == p.label
-        assert pool.stats.builds == len(self.SPECS)
-        assert pool.stats.reuses == 2 * len(specs) - len(self.SPECS)
-        assert warm_pool() is not None  # default engine keeps a pool
-
-
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("kernel", ["load", "store", "rmw"])
 def test_same_set_rehits_keep_replacement_order(kernel, policy):

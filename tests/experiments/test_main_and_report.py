@@ -20,9 +20,15 @@ class TestMainCLI:
             "json",
         }
 
-    def test_unknown_target_exit_code(self, capsys):
-        assert main(["fig99"]) == 2
-        assert "unknown targets" in capsys.readouterr().out
+    def test_unknown_target_exit_code(self, no_targets, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table1", "fig99"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown targets: ['fig99']" in captured.err
+        assert "usage:" in captured.err
+        assert captured.out == ""
+        assert no_targets == []
 
     def test_single_target_runs(self, capsys):
         assert main(["table1"]) == 0

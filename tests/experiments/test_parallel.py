@@ -7,6 +7,9 @@ simulation — and a warm cache must mean zero new simulations.
 
 from __future__ import annotations
 
+import os
+import pickle
+
 import pytest
 
 from repro.experiments import parallel
@@ -87,6 +90,29 @@ def test_parallel_sweep_counter_identical_to_serial(workload):
                 p.scheme,
                 p.label,
             )
+
+
+def test_single_miss_runs_in_process(monkeypatch, tmp_path):
+    """A pool is only worth its fork when two or more specs miss."""
+    monkeypatch.setattr(
+        parallel,
+        "ProcessPoolExecutor",
+        lambda *a, **k: (_ for _ in ()).throw(AssertionError("forked!")),
+    )
+    cache = ResultCache(str(tmp_path / "results"))
+    specs = [RunSpec("histogram", 200, "insecure"), RunSpec("histogram", 200, "ct")]
+    run_many(specs[:1], cache=cache, jobs=4)  # one miss
+    _, fresh = run_many(specs, cache=cache, jobs=4)  # one hit, one miss
+    assert cache.stats.misses == 2 and cache.stats.hits == 1
+    assert fresh.scheme == "ct"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_spec_propagates(jobs, tmp_path):
+    cache = ResultCache(str(tmp_path / "results"))
+    specs = [RunSpec("histogram", 200, "insecure"), RunSpec("histogram", 200, kind="nope")]
+    with pytest.raises(ConfigurationError, match="unknown RunSpec kind"):
+        run_many(specs, cache=cache, jobs=jobs)
 
 
 def test_run_many_preserves_order_and_dedups():
@@ -189,14 +215,24 @@ def test_cached_results_identical_to_serial_fresh(tmp_path):
 def test_corrupt_cache_file_is_a_miss(tmp_path):
     cache = ResultCache(str(tmp_path / "results"))
     spec = RunSpec("histogram", 200, "insecure")
-    run_many([spec], cache=cache)
+    (first,) = run_many([spec], cache=cache)
     path = cache._file_for(spec.key())
-    with open(path, "wb") as fh:
-        fh.write(b"not a pickle")
-    again = ResultCache(cache.path)
-    results = run_many([spec], cache=again)
-    assert again.stats.misses == 1  # corrupt file did not poison the run
-    assert results[0].counters["cycles"] > 0
+    with open(path, "rb") as fh:
+        intact = fh.read()
+    # garbage, and a torn write of the real entry
+    for damage in (b"not a pickle", intact[: len(intact) // 2]):
+        with open(path, "wb") as fh:
+            fh.write(damage)
+        # a fresh cache over the same directory treats it as a miss,
+        # recomputes, and rewrites the entry
+        again = ResultCache(cache.path)
+        (recomputed,) = run_many([spec], cache=again)
+        assert again.stats.misses == 1  # corrupt file did not poison the run
+        assert again.stats.stores == 1
+        assert recomputed.counters == first.counters
+        with open(path, "rb") as fh:
+            assert pickle.load(fh).counters == first.counters
+    assert not [n for n in os.listdir(cache.path) if n.endswith(".tmp")]
 
 
 def test_cache_clear(tmp_path):
@@ -226,6 +262,18 @@ def test_configure_defaults_are_honoured():
         parallel.configure(jobs=prev[0], cache=prev[1])
 
 
+def test_settings_roundtrip():
+    prev = parallel.current_settings()
+    cache = ResultCache()
+    try:
+        parallel.configure(jobs=3, cache=cache)
+        now = parallel.current_settings()
+        assert (now.jobs, now.cache) == (3, cache)
+    finally:
+        parallel.configure(**prev._asdict())
+    assert parallel.current_settings() == prev
+
+
 def test_configure_rejects_bad_jobs():
     with pytest.raises(ConfigurationError):
         parallel.configure(jobs=0)
@@ -234,27 +282,21 @@ def test_configure_rejects_bad_jobs():
 
 
 # ---------------------------------------------------------------------------
-# cache keying vs the warm-start pool prefix
+# cache keying: specs that differ never share a result
 # ---------------------------------------------------------------------------
 
 
-class TestWarmPoolKeying:
-    """`RunSpec.key()` vs the `MachineTemplatePool` prefix.
+class TestCacheKeying:
+    """`RunSpec.key()` covers every field that changes a simulation.
 
-    The pool reuses one machine per `(scheme, config, fetch_threshold)`
-    prefix; the cache keys on the *full* spec.  Two hazards follow.
-    Every config field — `replacement_seed` included — is part of the
-    prefix because the whole `MachineConfig` is a prefix component, so
-    a changed field must build a new pooled machine AND a new cache
-    key; and fields *outside* the prefix (seed, size) legitimately
-    share a pooled machine but must still get distinct cache keys.  A
-    stale pooled template or cached result in either case would
+    Every `MachineConfig` field — `replacement_seed` included — is part
+    of the key, and so are the fields outside the machine (seed, size).
+    A cached result served across either kind of difference would
     silently corrupt a sweep.
     """
 
-    def test_replacement_seed_changes_key_and_pool_entry(self):
+    def test_replacement_seed_changes_key(self, tmp_path):
         from repro.core.machine import MachineConfig
-        from repro.experiments.parallel import use_warm_pool
 
         spec_a = RunSpec(
             "histogram", 200, "insecure",
@@ -266,39 +308,20 @@ class TestWarmPoolKeying:
         )
         # distinct cache keys: a cached result can never cross over
         assert spec_a.key() != spec_b.key()
-        try:
-            use_warm_pool(False)
-            fresh = [spec_a.run(), spec_b.run()]
-            pool = use_warm_pool(True)
-            pooled = [spec_a.run(), spec_b.run()]
-            # distinct prefixes: two builds, no template sharing
-            assert pool.stats.builds == 2
-            assert pool.stats.reuses == 0
-            # and re-running restores each spec's own template
-            again = [spec_a.run(), spec_b.run()]
-            assert pool.stats.reuses == 2
-        finally:
-            use_warm_pool(True)
-        for f, p, a in zip(fresh, pooled, again):
-            assert f.counters == p.counters == a.counters
-            assert f.output == p.output == a.output
+        cache = ResultCache(str(tmp_path / "c"))
+        cached = run_many([spec_a, spec_b], cache=cache)
+        assert cache.stats.stores == 2
+        for fresh, served in zip([spec_a.run(), spec_b.run()], cached):
+            assert fresh.counters == served.counters
+            assert fresh.output == served.output
 
-    def test_shared_prefix_reuses_machine_but_not_results(self, tmp_path):
-        """Seeds share a pooled machine (same prefix) yet must never
-        share a cached result (different full key)."""
-        from repro.experiments.parallel import use_warm_pool
-
+    def test_seeds_never_share_results(self, tmp_path):
         spec_s1 = RunSpec("histogram", 200, "insecure", seed=1)
         spec_s2 = RunSpec("histogram", 200, "insecure", seed=2)
         assert spec_s1.key() != spec_s2.key()
         cache = ResultCache(str(tmp_path / "c"))
-        try:
-            pool = use_warm_pool(True)
-            results = run_many([spec_s1, spec_s2], cache=cache)
-            assert pool.stats.builds == 1  # one template...
-            assert cache.stats.stores == 2  # ...two distinct results
-        finally:
-            use_warm_pool(True)
+        results = run_many([spec_s1, spec_s2], cache=cache)
+        assert cache.stats.stores == 2
         assert results[0].counters != results[1].counters or (
             results[0].output != results[1].output
         )

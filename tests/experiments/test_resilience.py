@@ -1,15 +1,7 @@
-"""Failure paths of the fault-tolerant experiment engine.
+"""Failure paths of the experiment engine's result cache.
 
-Every test drives :func:`repro.experiments.parallel.run_many` through
-the deterministic :class:`~repro.experiments.faults.FaultInjector`
-(env-gated hooks in ``run_spec``): specs that raise, specs that hang
-past their timeout, workers killed mid-batch, corrupt cache entries,
-and the acceptance bar — a parallel sweep stays bit-identical to a
-serial one under injected transient faults.
-
-All injected delays are sub-second, so this suite runs in tier-1
-without real multi-second timeouts.  Deselect with
-``pytest -m "not fault_injection"``.
+An unreadable cache entry is a miss: the spec is recomputed and the
+entry rewritten, so one damaged file never poisons a sweep.
 """
 
 from __future__ import annotations
@@ -18,219 +10,7 @@ import pickle
 
 import pytest
 
-from repro.errors import EngineError
-from repro.experiments import parallel
-from repro.experiments.faults import FaultInjector, InjectedFault
-from repro.experiments.parallel import (
-    ResultCache,
-    RunSpec,
-    parallel_sweep,
-    run_many,
-)
-from repro.experiments.runner import sweep
-from repro.experiments.telemetry import RunTelemetry
-
-pytestmark = pytest.mark.fault_injection
-
-#: Small, fast grid: 4 unique specs, ~0.1 s each.
-SIZES = (200, 300)
-SCHEMES = ("insecure", "ct")
-
-
-def grid_specs():
-    return [
-        RunSpec("histogram", size, scheme)
-        for size in SIZES
-        for scheme in SCHEMES
-    ]
-
-
-@pytest.fixture
-def injector(tmp_path, monkeypatch):
-    """An armed, empty fault plan (disarmed again by monkeypatch)."""
-    inj = FaultInjector(tmp_path / "faults")
-    inj.arm(monkeypatch)
-    return inj
-
-
-# ---------------------------------------------------------------------------
-# specs that raise: salvage + exact failure log
-# ---------------------------------------------------------------------------
-
-
-class TestRaisingSpecs:
-    def test_injection_hooks_run_spec_not_spec_run(self, injector):
-        """The hook lives in the ``run_spec`` trampoline: the engine's
-        entry point trips it, a direct ``spec.run()`` does not."""
-        injector.add_rule(match={"scheme": "ct"}, action="raise")
-        with pytest.raises(InjectedFault):
-            parallel.run_spec(RunSpec("histogram", 200, "ct"))
-        result = RunSpec("histogram", 200, "ct").run()  # bypasses the hook
-        assert result.counters["cycles"] > 0
-
-    def test_batch_salvages_all_successes_and_lists_failures(
-        self, injector, tmp_path
-    ):
-        """N specs, K injected failures: N-K results cached, EngineError
-        lists exactly the K failed specs with attempt counts."""
-        injector.add_rule(match={"scheme": "ct"}, action="raise")
-        cache = ResultCache(str(tmp_path / "results"))
-        specs = grid_specs()
-        with pytest.raises(EngineError) as excinfo:
-            run_many(specs, cache=cache)
-        err = excinfo.value
-        # exactly the K=2 "ct" specs failed, each after 1 attempt
-        assert sorted(
-            (f.spec.scheme, f.spec.size, f.attempts) for f in err.failures
-        ) == [("ct", 200, 1), ("ct", 300, 1)]
-        assert all(f.kind == "error" for f in err.failures)
-        assert all("InjectedFault" in f.error for f in err.failures)
-        # the N-K=2 successes were salvaged into the cache
-        assert err.total == len(specs)
-        assert len(err.completed) == 2
-        assert cache.stats.stores == 2
-        for spec in specs:
-            hit = ResultCache(cache.path).get(spec.key())
-            assert (hit is not None) == (spec.scheme == "insecure")
-
-    def test_retry_budget_and_attempt_counts(self, injector):
-        injector.add_rule(match={"scheme": "ct", "size": 200}, action="raise")
-        with pytest.raises(EngineError) as excinfo:
-            run_many(
-                [RunSpec("histogram", 200, "ct")], retries=2, backoff=0.0
-            )
-        (failure,) = excinfo.value.failures
-        assert failure.attempts == 3  # 1 try + 2 retries
-
-    def test_transient_fault_retried_to_success(self, injector):
-        """A spec failing on its first attempt succeeds on retry, and
-        telemetry records the attempt trail."""
-        injector.add_rule(match={"scheme": "ct"}, action="raise", times=1)
-        telemetry = RunTelemetry()
-        specs = grid_specs()
-        results = run_many(
-            specs, retries=2, backoff=0.0, telemetry=telemetry
-        )
-        assert len(results) == len(specs)
-        summary = telemetry.summary()
-        assert summary["failed"] == 0
-        assert summary["retries"] == 2  # one per ct spec
-        for spec in specs:
-            expected = 2 if spec.scheme == "ct" else 1
-            assert telemetry.attempts_for(spec.key()) == expected
-
-
-# ---------------------------------------------------------------------------
-# specs that hang: per-spec timeouts
-# ---------------------------------------------------------------------------
-
-
-class TestTimeouts:
-    def test_serial_posthoc_timeout(self, injector):
-        injector.add_rule(
-            match={"scheme": "ct"}, action="delay", delay=0.2
-        )
-        with pytest.raises(EngineError) as excinfo:
-            run_many(
-                [RunSpec("histogram", 200, "ct")], jobs=1, timeout=0.05
-            )
-        (failure,) = excinfo.value.failures
-        assert failure.kind == "timeout"
-        assert "timeout" in failure.error
-
-    def test_pool_timeout_abandons_hung_worker(self, injector):
-        """jobs>1: a spec sleeping past the timeout is abandoned while
-        the rest of the batch completes."""
-        injector.add_rule(
-            match={"scheme": "ct", "size": 200}, action="delay", delay=2.0
-        )
-        specs = grid_specs()
-        with pytest.raises(EngineError) as excinfo:
-            run_many(specs, jobs=2, timeout=0.7)
-        err = excinfo.value
-        assert [(f.spec.scheme, f.spec.size) for f in err.failures] == [
-            ("ct", 200)
-        ]
-        assert err.failures[0].kind == "timeout"
-        assert len(err.completed) == len(specs) - 1
-
-    def test_timeout_then_retry_succeeds(self, injector):
-        """A hang on the first attempt only: the retry completes."""
-        injector.add_rule(
-            match={"scheme": "ct", "size": 200},
-            action="delay",
-            delay=2.0,
-            times=1,
-        )
-        telemetry = RunTelemetry()
-        results = run_many(
-            grid_specs(),
-            jobs=2,
-            timeout=0.7,
-            retries=1,
-            backoff=0.0,
-            telemetry=telemetry,
-        )
-        assert len(results) == 4
-        retried = [r for r in telemetry.records if r.outcome == "retry"]
-        assert len(retried) == 1
-        assert "timeout" in retried[0].error
-
-
-# ---------------------------------------------------------------------------
-# workers killed mid-batch
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerCrashes:
-    def test_crash_once_pool_respawns_and_batch_completes(self, injector):
-        injector.add_rule(
-            match={"scheme": "ct", "size": 200}, action="crash", times=1
-        )
-        telemetry = RunTelemetry()
-        results = run_many(
-            grid_specs(), jobs=2, retries=1, backoff=0.0, telemetry=telemetry
-        )
-        assert len(results) == 4
-        assert telemetry.summary()["failed"] == 0
-        # at least one attempt was lost to the worker death
-        assert any(
-            r.outcome == "retry" and "died" in (r.error or "")
-            for r in telemetry.records
-        )
-
-    def test_poisonous_spec_fails_alone_rest_salvaged(self, injector):
-        """A spec that *always* kills its worker exhausts the pool's
-        respawn budget, the engine degrades to in-process execution,
-        and only the guilty spec appears in the failure log."""
-        injector.add_rule(
-            match={"scheme": "ct", "size": 200}, action="crash"
-        )
-        specs = grid_specs()
-        with pytest.raises(EngineError) as excinfo:
-            run_many(specs, jobs=2, retries=1, backoff=0.0)
-        err = excinfo.value
-        assert [(f.spec.scheme, f.spec.size) for f in err.failures] == [
-            ("ct", 200)
-        ]
-        assert err.failures[0].kind in ("crash", "error")
-        assert err.failures[0].attempts >= 2
-        assert len(err.completed) == len(specs) - 1
-
-    def test_pool_unavailable_degrades_to_inline(self, monkeypatch):
-        """Sandboxes where no process pool can start still complete the
-        batch (in-process), bit-identical to a plain serial run."""
-        monkeypatch.setattr(parallel, "_spawn_pool", lambda jobs: None)
-        specs = grid_specs()
-        degraded = run_many(specs, jobs=4)
-        serial = [spec.run() for spec in specs]
-        for a, b in zip(degraded, serial):
-            assert a.counters == b.counters
-
-
-# ---------------------------------------------------------------------------
-# corrupt cache entries are rewritten
-# ---------------------------------------------------------------------------
+from repro.experiments.parallel import ResultCache, RunSpec, run_many
 
 
 class TestCorruptCache:
@@ -254,104 +34,3 @@ class TestCorruptCache:
         with open(path, "rb") as fh:
             restored = pickle.load(fh)  # valid pickle again
         assert restored.counters == first.counters
-
-
-# ---------------------------------------------------------------------------
-# acceptance: parallel == serial under injected transient faults
-# ---------------------------------------------------------------------------
-
-
-class TestDeterminismUnderFaults:
-    def test_parallel_sweep_bit_identical_under_transient_faults(
-        self, injector
-    ):
-        prev = parallel.current_settings()
-        try:
-            # ground truth: no faults, no engine features
-            injector.clear_rules()
-            ground = sweep("histogram", SIZES, SCHEMES)
-
-            injector.add_rule(match={"scheme": "ct"}, action="raise", times=1)
-            parallel.configure(retries=2, backoff=0.0)
-
-            serial = parallel_sweep("histogram", SIZES, SCHEMES, jobs=1)
-            injector.reset_counters()  # re-arm the transient faults
-            fanned = parallel_sweep("histogram", SIZES, SCHEMES, jobs=4)
-        finally:
-            parallel.configure(**prev._asdict())
-
-        for size in SIZES:
-            for scheme in SCHEMES:
-                g = ground[size][scheme]
-                s = serial[size][scheme]
-                p = fanned[size][scheme]
-                assert g.counters == s.counters == p.counters, (size, scheme)
-                assert g.output == s.output == p.output
-
-
-# ---------------------------------------------------------------------------
-# telemetry: progress callback + JSONL run log
-# ---------------------------------------------------------------------------
-
-
-class TestTelemetry:
-    def test_progress_callback_counts_final_outcomes(self, tmp_path):
-        seen = []
-        telemetry = RunTelemetry(
-            progress=lambda rec, done, expected: seen.append(
-                (rec.outcome, done, expected)
-            )
-        )
-        cache = ResultCache(str(tmp_path / "results"))
-        specs = grid_specs()
-        run_many(specs, cache=cache, telemetry=telemetry)
-        assert [done for _, done, _ in seen] == [1, 2, 3, 4]
-        assert all(expected == 4 for _, _, expected in seen)
-        # a warm re-run reports every spec as cached
-        telemetry2 = RunTelemetry()
-        run_many(specs, cache=cache, telemetry=telemetry2)
-        assert telemetry2.summary()["cached"] == 4
-
-    def test_jsonl_run_log_round_trip(self, injector, tmp_path):
-        injector.add_rule(match={"scheme": "ct"}, action="raise", times=1)
-        telemetry = RunTelemetry()
-        run_many(grid_specs(), retries=1, backoff=0.0, telemetry=telemetry)
-        log = tmp_path / "run_log.jsonl"
-        count = telemetry.export_jsonl(str(log))
-        assert count == len(telemetry.records) == 6  # 4 ok + 2 retries
-        loaded = RunTelemetry.read_jsonl(str(log))
-        assert [r.outcome for r in loaded] == [
-            r.outcome for r in telemetry.records
-        ]
-        assert [r.key for r in loaded] == [r.key for r in telemetry.records]
-        retried = [r for r in loaded if r.outcome == "retry"]
-        assert all(r.scheme == "ct" and "InjectedFault" in r.error
-                   for r in retried)
-
-    def test_engine_settings_roundtrip(self):
-        prev = parallel.current_settings()
-        try:
-            telemetry = RunTelemetry()
-            parallel.configure(
-                jobs=3, timeout=1.5, retries=4, backoff=0.2,
-                telemetry=telemetry,
-            )
-            now = parallel.current_settings()
-            assert (now.jobs, now.timeout, now.retries, now.backoff) == (
-                3, 1.5, 4, 0.2
-            )
-            assert now.telemetry is telemetry
-        finally:
-            parallel.configure(**prev._asdict())
-        restored = parallel.current_settings()
-        assert restored == prev
-
-    def test_configure_validates_new_knobs(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            parallel.configure(timeout=0)
-        with pytest.raises(ConfigurationError):
-            parallel.configure(retries=-1)
-        with pytest.raises(ConfigurationError):
-            parallel.configure(backoff=-0.1)

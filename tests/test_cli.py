@@ -49,6 +49,38 @@ class TestParser:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_ctcheck_unknown_program_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ctcheck", "--program", "nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown program(s) ['nosuch']" in err
+        assert "usage:" in err
+
+    def test_ctcheck_unusable_cache_path_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        with pytest.raises(SystemExit) as exc:
+            main(["ctcheck", "--program", "lookup", "--no-workloads",
+                  "--vcache", str(blocker / "x")])
+        assert exc.value.code == 2
+        assert "--vcache" in capsys.readouterr().err
+
+    def test_ctcheck_creates_the_cache_directory(self, tmp_path):
+        path = tmp_path / "new" / "verdicts"
+        assert main(["ctcheck", "--program", "lookup", "--no-workloads",
+                     "--vcache", str(path)]) == 0
+        assert len(list(path.glob("*.pkl"))) == 1
+
+    @pytest.mark.parametrize("repeats", ["0", "-1", "x"])
+    def test_bench_rejects_non_positive_repeats(self, repeats, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--repeats", repeats])
+        assert exc.value.code == 2
+        assert "--repeats" in capsys.readouterr().err
+
     def test_ctcheck_accepts_boundary_counts(self):
         args = build_parser().parse_args(
             ["ctcheck", "--jobs", "1", "--max-rounds", "1",
