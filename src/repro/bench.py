@@ -10,7 +10,11 @@ visible.  Three metrics:
     Swept lines per second of software-CT ``load``/``store`` ops over a
     16 KiB DS — every op sweeps all 256 lines, so this is the
     throughput of :meth:`~repro.core.machine.Machine.sweep_load_lines`
-    and :meth:`~repro.core.machine.Machine.sweep_store_lines`.
+    and :meth:`~repro.core.machine.Machine.sweep_store_lines`.  The
+    DS stays resident in the L1d and nothing else runs between the 300
+    alternating sweeps, so every sweep after the first all-hit one is
+    a replayed sweep (``SetAssociativeCache._replay_sweep``): the
+    metric measures the replay, not the per-line kernel loop.
 ``ds_gather_lines_per_sec``
     Same for 64-address ``gather`` batches (one sweep amortized over
     the batch).

@@ -117,12 +117,13 @@ class LRUPolicy(ReplacementPolicy):
     """Least-recently-used: evict the way touched longest ago.
 
     Touch contract: a touch is exactly ``_stamp += 1; _last_use[way] =
-    _stamp``.  The cache's batch kernels
-    (:meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines`,
-    ``rmw_lines``) perform this update inline instead of calling
-    :meth:`_rank_touch`, so a change to the touch arithmetic here must
-    be made there too; every other policy is still touched through its
-    methods.
+    _stamp``.  Three sites of the cache perform this update inline
+    instead of calling :meth:`_rank_touch`: the batch kernels
+    :meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines` and
+    ``rmw_lines``, and the resident-sweep replay ``_replay_sweep``,
+    which advances each set's stamps for a whole DS sweep at once.  A
+    change to the touch arithmetic here must be made at all three;
+    every other policy is still touched through its methods.
     """
 
     __slots__ = ("_stamp", "_last_use")

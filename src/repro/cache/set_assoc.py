@@ -202,6 +202,16 @@ class SetAssociativeCache:
         self._live: List[int] = []
         self.events = EventBus(name)
         self.stats = CacheStats()
+        #: monotonic count of resident lines leaving or having their way
+        #: reused (victim fills, invalidations, restores); hits, dirty
+        #: transitions, refreshes and fills into empty ways leave it alone
+        self._departures = 0
+        #: ``id(lines) -> [lines, departures, plan]`` for every DS
+        #: ``lines`` tuple whose last start-of-batch sweep on this level
+        #: hit throughout; the entry pins the tuple, so the id cannot be
+        #: reused while the entry lives.  ``plan`` is built lazily by
+        #: :meth:`_sweep_plan` on the first :meth:`_replay_sweep`.
+        self._resident_sweeps: Dict[int, list] = {}
 
     def _set_at(self, set_idx: int) -> _CacheSet:
         """The set object for ``set_idx``, materialising it if needed."""
@@ -347,7 +357,27 @@ class SetAssociativeCache:
         helpers iterate the *live* listener list per event, so a
         mid-batch unsubscribe from inside a callback behaves exactly as
         in the scalar path.
+
+        Replay: a DS sweep (``line_addrs`` is a DS's ``lines`` tuple)
+        that starts at ``start == 0`` on a level with no listeners, with
+        LRU replacement or ``update_replacement=False``, and finds the
+        departure counter unchanged since that tuple's last all-hit
+        sweep here cannot miss — every line is still resident in the
+        way it was — so its effects are applied set by set
+        (:meth:`_replay_sweep`) instead of per line.  Any other sweep
+        runs the loop, and one that starts at 0 and hits throughout
+        records the tuple for later replays.
         """
+        n = len(line_addrs)
+        if (
+            start == 0
+            and type(line_addrs) is tuple
+            and self._replay_sweep(
+                line_addrs, set_indices, 1, update_replacement, observable,
+                mark_dirty,
+            )
+        ):
+            return n
         if set_indices is None:
             set_indices = self.set_indices(line_addrs)
         sets = self._sets
@@ -357,7 +387,6 @@ class SetAssociativeCache:
         emit = events.has_listeners
         lru = update_replacement and self._lru
         touch = update_replacement and not lru
-        n = len(line_addrs)
         for i in range(start, n):
             line_addr = line_addrs[i]
             set_idx = set_indices[i]
@@ -387,6 +416,8 @@ class SetAssociativeCache:
                     if emit:
                         events.dirty(line_addr)
         stats.hits += n - start
+        if start == 0 and type(line_addrs) is tuple:
+            self._record_sweep(line_addrs)
         return n
 
     def rmw_lines(
@@ -413,8 +444,24 @@ class SetAssociativeCache:
         Shares :meth:`access_lines`'s set-index argument, inlined LRU
         touch (on the listener-free path) and batch-gated event emission
         with its safety argument, and skips the second tag lookup per
-        pair — the load hit already pinned down the way.
+        pair — the load hit already pinned down the way.  It also shares
+        the replay: a DS sweep starting at ``start == 0`` on a
+        listener-free level, with LRU replacement or
+        ``update_replacement=False``, and no departure since the tuple's
+        last all-hit sweep here is applied set by set with two accesses
+        per line; otherwise the loop runs and records an all-hit sweep
+        from 0.
         """
+        n = len(line_addrs)
+        if (
+            start == 0
+            and type(line_addrs) is tuple
+            and self._replay_sweep(
+                line_addrs, set_indices, 2, update_replacement, observable,
+                True,
+            )
+        ):
+            return n
         if set_indices is None:
             set_indices = self.set_indices(line_addrs)
         sets = self._sets
@@ -424,7 +471,6 @@ class SetAssociativeCache:
         emit = events.has_listeners
         lru = update_replacement and self._lru
         touch = update_replacement and not lru
-        n = len(line_addrs)
         for i in range(start, n):
             line_addr = line_addrs[i]
             set_idx = set_indices[i]
@@ -470,7 +516,93 @@ class SetAssociativeCache:
                 if emit:
                     events.dirty(line_addr)
         stats.hits += 2 * (n - start)
+        if start == 0 and type(line_addrs) is tuple:
+            self._record_sweep(line_addrs)
         return n
+
+    def _record_sweep(self, lines: tuple) -> None:
+        """Note that a sweep of ``lines`` from 0 just hit throughout."""
+        departures = self._departures
+        memo = self._resident_sweeps.get(id(lines))
+        if memo is None:
+            self._resident_sweeps[id(lines)] = [lines, departures, None]
+        elif memo[1] != departures:
+            memo[1] = departures
+            memo[2] = None  # ways may have changed since the plan
+
+    def _sweep_plan(self, lines: tuple, set_indices):
+        """Where every line of ``lines`` sits: ``(per-set plan, lines)``.
+
+        The per-set plan lists ``(set_idx, policy, ways, len(ways))`` in
+        order of each set's first appearance in the sweep, ``ways`` in
+        sweep order; the second item holds the resident :class:`CacheLine`
+        objects.  Valid until the departure counter moves.
+        """
+        if set_indices is None:
+            set_indices = self.set_indices(lines)
+        sets = self._sets
+        ways_by_set: Dict[int, List[int]] = {}
+        resident: List[CacheLine] = []
+        for line_addr, set_idx in zip(lines, set_indices):
+            cset = sets[set_idx]
+            way = cset.by_addr[line_addr]
+            ways = ways_by_set.get(set_idx)
+            if ways is None:
+                ways = ways_by_set[set_idx] = []
+            ways.append(way)
+            resident.append(cset.ways[way])
+        per_set = [
+            (set_idx, sets[set_idx].policy, tuple(ways), len(ways))
+            for set_idx, ways in ways_by_set.items()
+        ]
+        return per_set, resident
+
+    def _replay_sweep(
+        self, lines, set_indices, step, update_replacement, observable,
+        mark_dirty,
+    ) -> bool:
+        """Apply a resident DS sweep's exact effects set by set, if safe.
+
+        Replays only a DS ``lines`` tuple recorded by
+        :meth:`_record_sweep` with the departure counter unchanged since
+        (so every line is still resident in the way the plan names), on
+        a level with no listeners, with LRU replacement or
+        ``update_replacement=False``; returns False, changing nothing,
+        otherwise.  ``step`` is the accesses per line (1 for a load or
+        store sweep, 2 for read-modify-write pairs).  The result equals
+        the per-line loop's: ``step`` hits per line, ``step * k``
+        accesses on a set the sweep visits ``k`` times, the LRU touch
+        arithmetic of :class:`~repro.cache.replacement.LRUPolicy` run in
+        sweep order (``step`` stamps per line, the last one recorded),
+        and the dirty bit set on every line of a writing sweep (no
+        listener is attached, so no dirty event is due).
+        """
+        if self.events.has_listeners or (update_replacement and not self._lru):
+            return False
+        memo = self._resident_sweeps.get(id(lines))
+        if memo is None or memo[1] != self._departures:
+            return False
+        plan = memo[2]
+        if plan is None:
+            plan = memo[2] = self._sweep_plan(lines, set_indices)
+        per_set, resident = plan
+        stats = self.stats
+        stats.hits += step * len(resident)
+        set_accesses = stats.set_accesses if observable else None
+        for set_idx, policy, ways, k in per_set:
+            if set_accesses is not None:
+                set_accesses[set_idx] = set_accesses.get(set_idx, 0) + step * k
+            if update_replacement:
+                stamp = policy._stamp
+                last_use = policy._last_use
+                for way in ways:
+                    stamp += step
+                    last_use[way] = stamp
+                policy._stamp = stamp
+        if mark_dirty:
+            for line in resident:
+                line.dirty = True
+        return True
 
     def fill(
         self, line_addr: int, dirty: bool = False
@@ -504,6 +636,7 @@ class SetAssociativeCache:
         victim = cset.ways[victim_way]
         if victim is not None:
             del cset.by_addr[victim.line_addr]
+            self._departures += 1
             stats.evictions += 1
             if victim.dirty:
                 stats.dirty_evictions += 1
@@ -549,6 +682,7 @@ class SetAssociativeCache:
             return None
         line = cset.ways[way]
         cset.ways[way] = None
+        self._departures += 1
         cset.policy.on_invalidate(way)
         self.stats.invalidations += 1
         self.events.invalidate(line_addr)
@@ -673,6 +807,7 @@ class SetAssociativeCache:
             sets[set_idx] = cset
         self._sets = sets
         self._live = [set_idx for set_idx, _, _ in state.sets]
+        self._departures += 1  # every line is a new object now
         self.stats.load_from(state.stats)
         self._restore_extra(state.extra)
 

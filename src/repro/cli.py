@@ -178,6 +178,17 @@ def _cmd_ctcheck(args) -> int:
                 f"--vcache {args.vcache}: cannot use as a cache "
                 f"directory ({exc.strerror})"
             )
+    repair_out = None
+    if args.repair_out:
+        if not args.repair:
+            args.parser.error("--repair-out needs --repair")
+        try:
+            repair_out = open(args.repair_out, "w")
+        except OSError as exc:
+            args.parser.error(
+                f"--repair-out {args.repair_out}: cannot write "
+                f"({exc.strerror})"
+            )
     result = run_ctcheck(
         programs=programs,
         workloads=workloads,
@@ -199,7 +210,7 @@ def _cmd_ctcheck(args) -> int:
             f"{cache.stats.hits} served from verdict cache",
             file=sys.stderr,
         )
-    if args.repair and args.repair_out:
+    if repair_out is not None:
         from repro.lang.pretty import dump
 
         chunks = []
@@ -207,8 +218,8 @@ def _cmd_ctcheck(args) -> int:
             res = result.repairs[name]
             chunks.append(f"# {res.summary()}")
             chunks.append(dump(res.repaired, paths=True))
-        with open(args.repair_out, "w") as fh:
-            fh.write("\n\n".join(chunks) + "\n")
+        with repair_out:
+            repair_out.write("\n\n".join(chunks) + "\n")
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
         return result.exit_code

@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.observer import ObservableTraceRecorder
+from repro.cache.replacement import LRUPolicy
 from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig
 
@@ -109,6 +110,25 @@ def _assert_observably_equal(ma, mb, ra, rb, base, where=""):
     for i in range(ARENA_LINES):
         a = base + 64 * i
         assert ma.memory.read_word(a) == mb.memory.read_word(a), (where, i)
+
+
+def _assert_same_lru_stamps(ma, mb, where=""):
+    """Every materialised LRU set's exact ``_stamp`` and ``_last_use``.
+
+    Stricter than the recency order :func:`_assert_observably_equal`
+    compares: a kernel that applied the touches in the right order but
+    with the wrong arithmetic would still agree on the order.
+    """
+    for lvl in ("L1D", "L2", "LLC"):
+        ca, cb = ma.hierarchy.level(lvl), mb.hierarchy.level(lvl)
+        assert sorted(ca._live) == sorted(cb._live), (where, lvl)
+        for set_idx in ca._live:
+            pa = ca._sets[set_idx].policy
+            pb = cb._sets[set_idx].policy
+            if isinstance(pa, LRUPolicy):
+                assert (pa._stamp, pa._last_use) == (
+                    pb._stamp, pb._last_use
+                ), (where, lvl, set_idx)
 
 
 class TestLoadWords:
@@ -230,6 +250,86 @@ class TestRmwWords:
         _assert_observably_equal(ma, mb, ra, rb, base, "rmw_words values")
 
 
+#: departure-causing steps taken between re-sweeps of a DS
+DEPARTURES = ["evict_l1d", "evict_l2", "flush", "conflict", "restore"]
+#: size of the re-swept DS: it fits the L1d of every geometry drawn
+RESWEEP_DS_LINES = 48
+
+
+def _check_resweeps(config, steps, listeners):
+    """Software-CT sweeps of one resident DS vs the scalar reference.
+
+    A cache level replays a DS re-sweep set by set when none of its
+    lines can have left since the DS's last all-hit sweep there.  Each
+    step is ``(departure, sweep kind, line index)``: before the sweep
+    both twins take the same departure-causing step, if any — an
+    attacker eviction of a DS line at L1D or L2, an attacker flush,
+    conflicting loads from outside the DS that fill a DS line's L1d
+    set, or a save/restore round trip.
+    """
+    from repro.ct.linearize import SoftwareCTContext
+
+    (ma, mb), (ra, rb), base = _twins(config, listeners)
+    # Lines outside the DS: ``outside + off`` maps to the same L1d set
+    # as ``base + off`` (32 KiB apart, a multiple of every L1d way size
+    # drawn), and ``assoc`` of them a way apart fill a set.
+    way_bytes = config.l1d_size // config.l1d_assoc
+    outside = [m.allocator.alloc(config.l1d_size, "outside")
+               for m in (ma, mb)][0]
+    ctx = SoftwareCTContext(ma, simd=True)
+    ds = ctx.register_ds(base, RESWEEP_DS_LINES * 64, "arena")
+    costs = mb.costs
+    elem = costs.ct_simd_elem_insts
+    store_elem = elem + costs.ct_store_elem_extra_insts
+    fn = lambda v: (v + 7) & 0xFFFFFFFF  # noqa: E731
+
+    # Two leading loads fill the DS and record its all-hit sweep, so the
+    # first drawn sweep may already replay.
+    for departure, kind, line_idx in [(None, "load", 0)] * 2 + steps:
+        off = 4 * (line_idx % 16)
+        addr = base + 64 * line_idx + off
+        for m in (ma, mb) if departure else ():
+            if departure == "evict_l1d":
+                m.attacker_evict("L1D", addr)
+            elif departure == "evict_l2":
+                m.attacker_evict("L2", addr)
+            elif departure == "flush":
+                m.attacker_flush(addr)
+            elif departure == "conflict":
+                for way in range(config.l1d_assoc):
+                    m.load_word(outside + (64 * line_idx) % way_bytes
+                                + way * way_bytes)
+            else:
+                m.restore_state(m.save_state())
+        if kind == "load":
+            got = ctx.load(ds, addr)
+        elif kind == "store":
+            ctx.store(ds, addr, 1234 + line_idx)
+        else:
+            got = ctx.rmw(ds, addr, fn)
+        # scalar reference: visit + per-line (execute; load[; store])
+        mb.execute(costs.ct_visit_insts)
+        want = None
+        for ln in ds.lines:
+            a = ln + off
+            mb.execute(elem if kind == "load" else store_elem)
+            v = mb.load_word(a)
+            if a == addr:
+                want = v
+            if kind != "load":
+                if a != addr:
+                    new = v
+                elif kind == "rmw":
+                    new = fn(v)
+                else:
+                    new = 1234 + line_idx
+                mb.store_word(a, new)
+        if kind != "store":
+            assert got == want
+    _assert_observably_equal(ma, mb, ra, rb, base, "re-sweep")
+    _assert_same_lru_stamps(ma, mb, "re-sweep")
+
+
 class TestCTSweepOps:
     """The software-CT context's batched sweeps vs its scalar contract."""
 
@@ -312,6 +412,34 @@ class TestCTSweepOps:
                     )
                 assert got == want
         _assert_observably_equal(ma, mb, ra, rb, base, "ct-sweep")
+
+    @given(config=configs, plcache=st.booleans(), steps=st.lists(
+        st.tuples(st.one_of(st.none(), st.sampled_from(DEPARTURES)),
+                  st.sampled_from(["load", "store", "rmw"]),
+                  st.integers(0, RESWEEP_DS_LINES - 1)),
+        min_size=1, max_size=16,
+    ), listeners=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_resweeps_across_departures_match_scalar_reference(
+        self, config, plcache, steps, listeners
+    ):
+        """Re-sweeps of a resident DS, with lines leaving in between.
+
+        The replay runs on LRU levels only (CT sweeps always update
+        replacement), so every machine is LRU; the L1d may be a PLcache.
+        """
+        config = replace(config, replacement="lru", plcache=plcache)
+        _check_resweeps(config, steps, listeners)
+
+    @pytest.mark.parametrize("plcache", [False, True])
+    @pytest.mark.parametrize("departure", DEPARTURES)
+    def test_each_departure_is_seen_by_the_next_sweep(self, departure,
+                                                      plcache):
+        """Pinned: replayed sweeps, one departure, then more sweeps."""
+        config = MachineConfig(l1d_size=4096, l1d_assoc=4, plcache=plcache)
+        steps = [(None, "load", 3), (departure, "rmw", 3),
+                 (None, "store", 5), (None, "load", 7)]
+        _check_resweeps(config, steps, listeners=False)
 
 
 class TestSweepWrappers:

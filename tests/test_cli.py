@@ -74,6 +74,29 @@ class TestParser:
                      "--vcache", str(path)]) == 0
         assert len(list(path.glob("*.pkl"))) == 1
 
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_ctcheck_repair_out_misuse_fails_before_checking(
+        self, repair, tmp_path, capsys, monkeypatch
+    ):
+        import repro.analysis.api as api
+
+        def no_check(**kwargs):
+            raise AssertionError("the check ran")
+
+        monkeypatch.setattr(api, "run_ctcheck", no_check)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        # With --repair the path is unwritable; without it the flag
+        # has nothing to write.
+        out = blocker / "r.txt" if repair else tmp_path / "r.txt"
+        argv = ["ctcheck", "--program", "lookup", "--no-workloads",
+                "--repair-out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--repair"] if repair else argv)
+        assert exc.value.code == 2
+        assert "--repair-out" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("repeats", ["0", "-1", "x"])
     def test_bench_rejects_non_positive_repeats(self, repeats, capsys):
         with pytest.raises(SystemExit) as exc:
