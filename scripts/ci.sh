@@ -33,6 +33,12 @@
 #      every Table-2 output must equal the workload's reference(), the
 #      ciphers must agree across schemes and the simulated counters
 #      must repeat exactly across passes; timings are not checked
+#   9. the constant-time gate smoke: `python3 perfbench/run.py
+#      --workload ctcheck-gate --seconds 1` — an exit-status check
+#      only: every built-in's leaky native must be refuted and its
+#      mitigated and repaired variants proved, every workload DS audit
+#      must be clean, and the findings must repeat exactly across
+#      passes; timings are not checked
 #
 # Usage: scripts/ci.sh [extra pytest args...]
 set -euo pipefail
@@ -74,5 +80,8 @@ python3 perfbench/run.py --workload ct-sweep --seconds 1
 
 echo "== paper-regeneration smoke (perfbench/run.py --workload paper-regen)"
 python3 perfbench/run.py --workload paper-regen --seconds 1
+
+echo "== constant-time gate smoke (perfbench/run.py --workload ctcheck-gate)"
+python3 perfbench/run.py --workload ctcheck-gate --seconds 1
 
 echo "== CI gate passed"

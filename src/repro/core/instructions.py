@@ -60,7 +60,7 @@ class CTOps:
         if self.traffic_hook is not None:
             self.traffic_hook(line_addr)
 
-    def ctload(self, addr: int, size: int = params.WORD_SIZE) -> Tuple[int, int, int]:
+    def ctload(self, addr: int) -> Tuple[int, int, int]:
         """``CTLoad``: returns ``(data, existence_bitmap, latency)``.
 
         ``data`` is the requested word if the line is resident at the
@@ -70,16 +70,14 @@ class CTOps:
         line_addr = addr & _LINE_BASE_MASK
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
-        data = self.memory.read_word(addr, size) if line is not None else 0
+        data = self.memory.read_word(addr) if line is not None else 0
         entry = bia.access(addr >> bia.group_bits)
         latency = self._cache.latency + bia.latency
         if self.traffic_hook is not None:
             self.traffic_hook(line_addr)
         return data, entry.existence, latency
 
-    def ctstore(
-        self, addr: int, data: int, size: int = params.WORD_SIZE
-    ) -> Tuple[int, int]:
+    def ctstore(self, addr: int, data: int) -> Tuple[int, int]:
         """``CTStore``: returns ``(dirtiness_bitmap, latency)``.
 
         The write commits only if ``addr``'s line is resident *and
@@ -91,7 +89,7 @@ class CTOps:
         bia = self.bia
         line = self._cache.lookup(line_addr)  # pure probe: no state change
         if line is not None and line.dirty:
-            self.memory.write_word(addr, data, size)
+            self.memory.write_word(addr, data)
         entry = bia.access(addr >> bia.group_bits)
         latency = self._cache.latency + bia.latency
         if self.traffic_hook is not None:

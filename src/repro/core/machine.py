@@ -39,7 +39,7 @@ from repro.core.costs import CostModel, DEFAULT_COSTS
 from repro.core.instructions import CTOps
 from repro.core.stats import MachineStats
 from repro.errors import ConfigurationError, ProtocolError
-from repro.memory.backing import Allocator, MainMemory
+from repro.memory.backing import WORD_MASK, Allocator, MainMemory
 from repro.memory.dram import DRAM
 
 #: Inlined ``addr_math.line_base`` for the hot access paths: masking
@@ -294,7 +294,6 @@ class Machine:
     def load_word(
         self,
         addr: int,
-        size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
     ) -> int:
@@ -321,13 +320,12 @@ class Machine:
         stats.insts += 1
         stats.l1i_refs += 1
         stats.cycles += latency
-        return self.memory.read_word(addr, size)
+        return self.memory.read_word(addr)
 
     def store_word(
         self,
         addr: int,
         value: int,
-        size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
     ) -> None:
@@ -340,9 +338,10 @@ class Machine:
         """
         line_addr = addr & _LINE_BASE_MASK
         update = not secret_dependent
-        squash = self.config.silent_stores and self.memory.read_word(
-            addr, size
-        ) == value % (1 << (8 * size))
+        squash = (
+            self.config.silent_stores
+            and self.memory.read_word(addr) == value & WORD_MASK
+        )
         hier = self.hierarchy
         # ``CacheHierarchy.write_line`` inlined: the read path, then the
         # dirty transition at the start level (unless squashed).
@@ -364,7 +363,7 @@ class Machine:
         if self.slice_hash is not None:
             self._record_llc_traffic(line_addr, hit_level)
         if not squash:
-            self.memory.write_word(addr, value, size)
+            self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
@@ -390,7 +389,6 @@ class Machine:
     def load_words(
         self,
         addrs,
-        size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
         pre_insts: int = 0,
@@ -419,7 +417,7 @@ class Machine:
             for a in addrs:
                 if pre_insts:
                     execute(pre_insts)
-                out.append(load(a, size, secret_dependent, start_level))
+                out.append(load(a, secret_dependent, start_level))
             return out if collect_values else None
         if lines is None:
             mask = _LINE_BASE_MASK
@@ -439,13 +437,12 @@ class Machine:
         if not collect_values:
             return None
         read = self.memory.read_word
-        return [read(a, size) for a in addrs]
+        return [read(a) for a in addrs]
 
     def store_words(
         self,
         addrs,
         values,
-        size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
         pre_insts: int = 0,
@@ -465,14 +462,14 @@ class Machine:
             for a, v in zip(addrs, values):
                 if pre_insts:
                     execute(pre_insts)
-                store(a, v, size, secret_dependent, start_level)
+                store(a, v, secret_dependent, start_level)
             return
         mask = _LINE_BASE_MASK
         lines = [a & mask for a in addrs]
         latencies = self.hierarchy.write_lines(
             lines, start_level, not secret_dependent
         )
-        self.memory.write_words(addrs, values, size)
+        self.memory.write_words(addrs, values)
         stats = self.stats
         per = pre_insts + 1
         stats.stores += n
@@ -488,7 +485,6 @@ class Machine:
         addrs,
         target_idx: int = -1,
         target_fn=None,
-        size: int = params.WORD_SIZE,
         secret_dependent: bool = False,
         start_level: int = 0,
         pre_insts: int = 0,
@@ -537,13 +533,13 @@ class Machine:
                 a = addrs[i]
                 if pre_insts:
                     execute(pre_insts)
-                v = load(a, size, secret_dependent, start_level)
+                v = load(a, secret_dependent, start_level)
                 out.append(v if collect_values or i == target_idx else None)
                 if values is not None:
                     new = values[i]
                 else:
                     new = target_fn(v) if i == target_idx else v
-                store(a, new, size, secret_dependent, start_level)
+                store(a, new, secret_dependent, start_level)
             return out
         if lines is None:
             mask = _LINE_BASE_MASK
@@ -565,7 +561,6 @@ class Machine:
         if self.config.silent_stores:
             # Per-element loop: the squash decision needs a memory
             # comparison per store, so nothing can be elided.
-            wrap = (1 << (8 * size)) - 1
             out = []
             append = out.append
             for i in range(n):
@@ -580,13 +575,13 @@ class Machine:
                 else:
                     extra, _hit_level = miss_fill(line, start_level, update, True)
                     cycles += first_lat + extra
-                value = read(a, size)
+                value = read(a)
                 append(value if collect_values or i == target_idx else None)
                 if values is not None:
                     new = values[i]
                 else:
                     new = target_fn(value) if i == target_idx else value
-                if value == new & wrap:
+                if value == new & WORD_MASK:
                     # Squashed silent store: read path, no dirty bit.
                     hit = first_access(line, update, True)
                     if hit is not None:
@@ -610,7 +605,7 @@ class Machine:
                         )
                         cycles += first_lat + extra
                         first_set_dirty(line)
-                    write(a, new, size)
+                    write(a, new)
             stats.cycles = cycles
             per = pre_insts + 2
             stats.loads += n
@@ -640,21 +635,21 @@ class Machine:
             if values is not None:
                 if collect_values:
                     for j in range(i, nxt):
-                        out[j] = read(addrs[j], size)
-                        write(addrs[j], values[j], size)
+                        out[j] = read(addrs[j])
+                        write(addrs[j], values[j])
                 else:
-                    write_words(addrs[i:nxt], values[i:nxt], size)
+                    write_words(addrs[i:nxt], values[i:nxt])
             elif collect_values:
                 for j in range(i, nxt):
-                    v = read(addrs[j], size)
+                    v = read(addrs[j])
                     out[j] = v
                     if j == target_idx:
-                        write(addrs[j], target_fn(v), size)
+                        write(addrs[j], target_fn(v))
             elif i <= target_idx < nxt:
                 a = addrs[target_idx]
-                v = read(a, size)
+                v = read(a)
                 out[target_idx] = v
-                write(a, target_fn(v), size)
+                write(a, target_fn(v))
             if nxt == n:
                 break
             # Element nxt's load access missed (already recorded by the
@@ -667,7 +662,7 @@ class Machine:
             extra, _hit_level = miss_fill(line, start_level, update, True)
             cycles += first_lat + extra
             if collect_values or nxt == target_idx:
-                v = read(a, size)
+                v = read(a)
                 out[nxt] = v
             if values is not None:
                 new = values[nxt]
@@ -685,7 +680,7 @@ class Machine:
                 cycles += first_lat + extra
                 first_set_dirty(line)
             if values is not None or nxt == target_idx or collect_values:
-                write(a, new, size)
+                write(a, new)
             i = nxt + 1
         stats.cycles = cycles
         per = pre_insts + 2
@@ -783,7 +778,7 @@ class Machine:
 
     # -- victim: Sec. 6.5 DRAM bypass ---------------------------------------------------
 
-    def load_word_uncached(self, addr: int, size: int = params.WORD_SIZE) -> int:
+    def load_word_uncached(self, addr: int) -> int:
         """Load straight from DRAM with no cache state change."""
         result = self.hierarchy.read_line_uncached(addr & _LINE_BASE_MASK)
         stats = self.stats
@@ -792,14 +787,12 @@ class Machine:
         stats.insts += 1
         stats.l1i_refs += 1
         stats.cycles += result.latency
-        return self.memory.read_word(addr, size)
+        return self.memory.read_word(addr)
 
-    def store_word_uncached(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
+    def store_word_uncached(self, addr: int, value: int) -> None:
         """Store straight to DRAM with no cache state change."""
         result = self.hierarchy.write_line_uncached(addr & _LINE_BASE_MASK)
-        self.memory.write_word(addr, value, size)
+        self.memory.write_word(addr, value)
         stats = self.stats
         stats.stores += 1
         stats.l1d_refs += 1
@@ -817,10 +810,10 @@ class Machine:
                 "raw bitmap access is hidden from users (Sec. 6.2)"
             )
 
-    def ctload(self, addr: int, size: int = params.WORD_SIZE):
+    def ctload(self, addr: int):
         """Execute CTLoad; returns ``(data, existence_bitmap)``."""
         self._check_ct_privilege("CTLoad")
-        data, existence, latency = self.ctops.ctload(addr, size)
+        data, existence, latency = self.ctops.ctload(addr)
         stats = self.stats
         stats.ct_loads += 1
         stats.l1d_refs += 1
@@ -829,10 +822,10 @@ class Machine:
         stats.cycles += latency
         return data, existence
 
-    def ctstore(self, addr: int, value: int, size: int = params.WORD_SIZE) -> int:
+    def ctstore(self, addr: int, value: int) -> int:
         """Execute CTStore; returns the dirtiness bitmap."""
         self._check_ct_privilege("CTStore")
-        dirtiness, latency = self.ctops.ctstore(addr, value, size)
+        dirtiness, latency = self.ctops.ctstore(addr, value)
         stats = self.stats
         stats.ct_stores += 1
         stats.l1d_refs += 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 import copy
 from typing import Dict, List, Sequence
 
-from repro import params
 from repro.core.machine import Machine
 from repro.ct.ds import DataflowLinearizationSet
 from repro.errors import ProtocolError
@@ -105,13 +104,11 @@ class MitigationContext:
 
     # -- public accesses / ALU work ----------------------------------------------------
 
-    def plain_load(self, addr: int, size: int = params.WORD_SIZE) -> int:
-        return self.machine.load_word(addr, size)
+    def plain_load(self, addr: int) -> int:
+        return self.machine.load_word(addr)
 
-    def plain_store(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
-        self.machine.store_word(addr, value, size)
+    def plain_store(self, addr: int, value: int) -> None:
+        self.machine.store_word(addr, value)
 
     def plain_store_words(self, addrs, values) -> None:
         """Batched :meth:`plain_store` (bit-identical, see store_words)."""

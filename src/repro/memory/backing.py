@@ -1,9 +1,9 @@
 """Flat backing memory and a bump allocator.
 
 :class:`MainMemory` is the ground-truth storage behind the cache
-hierarchy.  It is byte-addressable and sparse (page-granular ``dict``
-of ``bytearray``), so workloads can allocate arrays at page-aligned
-addresses far apart without paying for the gap.
+hierarchy.  It is word-granular and sparse (page-granular ``dict`` of
+``list``\\ s of 32-bit words), so workloads can allocate arrays at
+page-aligned addresses far apart without paying for the gap.
 
 :class:`Allocator` hands out page-aligned regions, mirroring how the
 benchmark programs ``malloc`` their arrays; page alignment matters
@@ -13,181 +13,104 @@ the algorithms group dataflow linearization sets by page index.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, List
 
 from repro import params
-from repro.errors import AlignmentError, AllocationError, MemoryError_
-from repro.memory import address as addr_math
+from repro.errors import AlignmentError, AllocationError
+
+#: Every stored word is reduced modulo 2**32 (a C ``unsigned int``).
+WORD_MASK = (1 << (8 * params.WORD_SIZE)) - 1
+
+_WORDS_PER_PAGE = params.PAGE_SIZE // params.WORD_SIZE
+_ALIGN_MASK = params.WORD_SIZE - 1
+#: ``(addr & _OFFSET_MASK) >> _WORD_SHIFT`` is a word's index in its page.
+_OFFSET_MASK = params.PAGE_SIZE - 1
+_WORD_SHIFT = _ALIGN_MASK.bit_length()
+
+
+def _misaligned(addr: int) -> AlignmentError:
+    return AlignmentError(f"address {addr:#x} not aligned to {params.WORD_SIZE}")
 
 
 class MainMemory:
-    """Sparse byte-addressable main memory.
+    """Sparse word-addressed main memory of 4-byte words.
 
     Pages are materialised lazily on first write; reads of untouched
-    memory return zero bytes, like freshly mapped anonymous pages.
+    memory return zero, like freshly mapped anonymous pages.  Every
+    access must be word-aligned.
     """
 
     def __init__(self) -> None:
-        self._pages: Dict[int, bytearray] = {}
+        self._pages: Dict[int, List[int]] = {}
         #: page indices shared (copy-on-write) with a machine snapshot
         #: or fork; a writer must replace the page before mutating it.
         self._frozen: set = set()
 
-    # -- raw byte interface -------------------------------------------------
+    def read_word(self, addr: int) -> int:
+        """Read the word at ``addr``."""
+        if addr & _ALIGN_MASK:
+            raise _misaligned(addr)
+        page = self._pages.get(addr >> params.PAGE_BITS)
+        if page is None:
+            return 0
+        return page[(addr & _OFFSET_MASK) >> _WORD_SHIFT]
 
-    def read(self, addr: int, size: int) -> bytes:
-        """Read ``size`` bytes starting at ``addr``."""
-        if size < 0:
-            raise MemoryError_(f"negative read size {size}")
-        out = bytearray(size)
-        pos = 0
-        while pos < size:
-            a = addr + pos
-            page = self._pages.get(addr_math.page_index(a))
-            off = addr_math.page_offset(a)
-            chunk = min(size - pos, params.PAGE_SIZE - off)
-            if page is not None:
-                out[pos : pos + chunk] = page[off : off + chunk]
-            pos += chunk
-        return bytes(out)
+    def write_word(self, addr: int, value: int) -> None:
+        """Write ``value`` modulo 2**32 to the word at ``addr``."""
+        if addr & _ALIGN_MASK:
+            raise _misaligned(addr)
+        idx = addr >> params.PAGE_BITS
+        page = self._pages.get(idx)
+        if page is None:
+            page = self._pages[idx] = [0] * _WORDS_PER_PAGE
+        elif self._frozen and idx in self._frozen:
+            # Copy-on-write: this page is shared with a snapshot.
+            page = self._pages[idx] = page[:]
+            self._frozen.discard(idx)
+        page[(addr & _OFFSET_MASK) >> _WORD_SHIFT] = value & WORD_MASK
 
-    def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` starting at ``addr``."""
-        pos = 0
-        size = len(data)
-        while pos < size:
-            a = addr + pos
-            idx = addr_math.page_index(a)
-            page = self._pages.get(idx)
-            if page is None:
-                page = self._pages[idx] = bytearray(params.PAGE_SIZE)
-            elif idx in self._frozen:
-                page = self._pages[idx] = bytearray(page)
-                self._frozen.discard(idx)
-            off = addr_math.page_offset(a)
-            chunk = min(size - pos, params.PAGE_SIZE - off)
-            page[off : off + chunk] = data[pos : pos + chunk]
-            pos += chunk
-
-    # -- typed word interface ----------------------------------------------
-
-    def read_word(self, addr: int, size: int = params.WORD_SIZE) -> int:
-        """Read an unsigned little-endian integer of ``size`` bytes.
-
-        Hot path: a ``size``-aligned power-of-two word never crosses a
-        page boundary (for ``size <= PAGE_SIZE``), so the common case
-        is one dict probe + one slice — no ``read()`` loop, no
-        intermediate buffer.
-        """
-        if size <= 0 or size & (size - 1):
-            raise AlignmentError(f"access size {size} is not a power of two")
-        if addr & (size - 1):
-            raise AlignmentError(f"address {addr:#x} not aligned to {size}")
-        if size <= params.PAGE_SIZE:
-            page = self._pages.get(addr >> params.PAGE_BITS)
-            if page is None:
-                return 0
-            off = addr & (params.PAGE_SIZE - 1)
-            return int.from_bytes(page[off : off + size], "little")
-        return int.from_bytes(self.read(addr, size), "little")
-
-    def write_word(
-        self, addr: int, value: int, size: int = params.WORD_SIZE
-    ) -> None:
-        """Write an unsigned little-endian integer of ``size`` bytes."""
-        if size <= 0 or size & (size - 1):
-            raise AlignmentError(f"access size {size} is not a power of two")
-        if addr & (size - 1):
-            raise AlignmentError(f"address {addr:#x} not aligned to {size}")
-        data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        if size <= params.PAGE_SIZE:
-            idx = addr >> params.PAGE_BITS
-            page = self._pages.get(idx)
-            if page is None:
-                page = self._pages[idx] = bytearray(params.PAGE_SIZE)
-            elif self._frozen and idx in self._frozen:
-                # Copy-on-write: this page is shared with a snapshot.
-                page = self._pages[idx] = bytearray(page)
-                self._frozen.discard(idx)
-            off = addr & (params.PAGE_SIZE - 1)
-            page[off : off + size] = data
-            return
-        self.write(addr, data)
-
-    def write_words(
-        self, addrs, values, size: int = params.WORD_SIZE
-    ) -> None:
-        """``write_word(addr, value, size)`` for each pair, in order.
+    def write_words(self, addrs, values) -> None:
+        """``write_word(addr, value)`` for each pair, in order.
 
         Same checks and copy-on-write as :meth:`write_word`, with the
         page lookup hoisted across consecutive words on one page (array
         initialisation writes thousands of words per page).
         """
-        if size <= 0 or size & (size - 1):
-            raise AlignmentError(f"access size {size} is not a power of two")
-        if size > params.PAGE_SIZE:
-            for addr, value in zip(addrs, values):
-                self.write_word(addr, value, size)
-            return
         pages = self._pages
         frozen = self._frozen
-        align = size - 1
-        wrap = (1 << (8 * size)) - 1
         page_bits = params.PAGE_BITS
-        off_mask = params.PAGE_SIZE - 1
         page_idx = None
         page = None
         for addr, value in zip(addrs, values):
-            if addr & align:
-                raise AlignmentError(f"address {addr:#x} not aligned to {size}")
+            if addr & _ALIGN_MASK:
+                raise _misaligned(addr)
             idx = addr >> page_bits
             if idx != page_idx:
                 page = pages.get(idx)
                 if page is None:
-                    page = pages[idx] = bytearray(params.PAGE_SIZE)
+                    page = pages[idx] = [0] * _WORDS_PER_PAGE
                 elif frozen and idx in frozen:
                     # Copy-on-write: this page is shared with a snapshot.
-                    page = pages[idx] = bytearray(page)
+                    page = pages[idx] = page[:]
                     frozen.discard(idx)
                 page_idx = idx
-            off = addr & off_mask
-            page[off : off + size] = (value & wrap).to_bytes(size, "little")
-
-    def read_line(self, line_addr: int) -> bytes:
-        """Read the whole 64-byte line starting at ``line_addr``."""
-        addr_math.check_aligned(line_addr, params.LINE_SIZE)
-        return self.read(line_addr, params.LINE_SIZE)
-
-    def write_line(self, line_addr: int, data: bytes) -> None:
-        """Write a whole 64-byte line (used by cache write-back)."""
-        addr_math.check_aligned(line_addr, params.LINE_SIZE)
-        if len(data) != params.LINE_SIZE:
-            raise MemoryError_(
-                f"line write of {len(data)} bytes (expected {params.LINE_SIZE})"
-            )
-        self.write(line_addr, data)
-
-    # -- introspection ------------------------------------------------------
-
-    def touched_pages(self) -> Iterable[int]:
-        """Indices of pages that have been written at least once."""
-        return self._pages.keys()
+            page[(addr & _OFFSET_MASK) >> _WORD_SHIFT] = value & WORD_MASK
 
     # -- snapshot / fork support (copy-on-write) -----------------------------------
 
-    def share_pages(self) -> Dict[int, bytearray]:
+    def share_pages(self) -> Dict[int, List[int]]:
         """Freeze the current pages for sharing with a snapshot.
 
         Marks every live page copy-on-write in *this* memory and
         returns a shallow copy of the page table.  The caller hands the
         returned dict to :meth:`adopt_pages` on another (or the same)
         memory; neither side ever mutates a shared page in place, so
-        the snapshot stays byte-exact no matter who writes afterwards.
+        the snapshot stays word-exact no matter who writes afterwards.
         """
         self._frozen.update(self._pages)
         return dict(self._pages)
 
-    def adopt_pages(self, pages: Dict[int, bytearray]) -> None:
+    def adopt_pages(self, pages: Dict[int, List[int]]) -> None:
         """Install a page table from :meth:`share_pages` (all CoW)."""
         self._pages = dict(pages)
         self._frozen = set(pages)

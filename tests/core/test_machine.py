@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import params
 from repro.core.costs import CostModel
 from repro.core.machine import Machine, MachineConfig, build_machine
 from repro.errors import ConfigurationError
@@ -85,6 +86,68 @@ class TestSnapshot:
     def test_snapshot_counts_dram(self, machine):
         machine.load_word(0x10000)
         assert machine.snapshot()["dram_accesses"] == 1
+
+
+class TestSnapshotIsolation:
+    """``save_state()``/``fork()`` snapshots keep their memory.
+
+    Every write path gets a page of its own, so a path that forgot to
+    copy a shared page before writing would leak into the other side.
+    """
+
+    BASE = 0x10000
+    PATHS = 7
+
+    def _page(self, k):
+        return self.BASE + k * params.PAGE_SIZE
+
+    def _seed(self, machine):
+        # store_word leaves every line dirty, so the later CTStore commits
+        for k in range(self.PATHS):
+            machine.store_word(self._page(k), 10 * k + 1)
+            machine.store_word(self._page(k) + 4, 10 * k + 2)
+
+    def _write_every_path(self, machine, tag):
+        page = self._page
+        machine.store_word(page(0), tag)
+        machine.store_words([page(1), page(1) + 4], [tag, tag + 1])
+        machine.rmw_words(
+            [page(2), page(2) + 4], target_idx=1, target_fn=lambda v: v + tag
+        )
+        machine.rmw_words(
+            [page(3), page(3) + 4], values=[tag, tag + 1], collect_values=False
+        )
+        machine.ctstore(page(4), tag)
+        machine.store_word_uncached(page(5), tag)
+        machine.memory.write_words([page(6) + 4], [tag])
+
+    def _words(self, machine):
+        read = machine.memory.read_word
+        return [
+            (read(self._page(k)), read(self._page(k) + 4))
+            for k in range(self.PATHS)
+        ]
+
+    def test_fork_and_snapshot_survive_later_writes(self, machine):
+        self._seed(machine)
+        original = self._words(machine)
+        state = machine.save_state()
+        clone = machine.fork()
+
+        self._write_every_path(machine, 100)
+        parent_words = self._words(machine)
+        assert all(p != o for p, o in zip(parent_words, original))
+        assert self._words(clone) == original
+
+        self._write_every_path(clone, 200)
+        assert all(c != o for c, o in zip(self._words(clone), original))
+        assert self._words(machine) == parent_words
+
+        machine.restore_state(state)
+        assert self._words(machine) == original
+        self._write_every_path(machine, 300)
+        machine.restore_state(state)
+        assert self._words(machine) == original
 
 
 class TestAttackerActor:
