@@ -12,8 +12,8 @@ visible.  Three metrics:
     throughput of :meth:`~repro.core.machine.Machine.sweep_load_lines`
     and :meth:`~repro.core.machine.Machine.sweep_store_lines`.  The
     DS stays resident in the L1d and nothing else runs between the 300
-    alternating sweeps, so every sweep after the first all-hit one is
-    a replayed sweep (``SetAssociativeCache._replay_sweep``): the
+    alternating sweeps, so every set of every sweep after the first
+    all-hit one is replayed (``SetAssociativeCache._replay_sets``): the
     metric measures the replay, not the per-line kernel loop.
 ``ds_gather_lines_per_sec``
     Same for 64-address ``gather`` batches (one sweep amortized over

@@ -180,31 +180,18 @@ class CacheHierarchy:
         observable: bool = True,
         set_indices=None,
     ):
-        """Batched :meth:`read_line`; returns per-line latencies.
-
-        Observationally identical to the scalar loop: hit runs are
-        processed inside the start level's ``access_lines`` (locals
-        bound once per run), and each miss falls back to the exact
-        scalar miss walk before the batch resumes.  ``set_indices``
-        (start-level set indices aligned with ``line_addrs``) is
-        computed once per batch when not supplied.
+        """Batched :meth:`read_line`, in one call of the start level's
+        ``access_lines``, which services each miss in place through
+        :meth:`read_miss_fill`: observationally identical to the scalar
+        loop.  Every line costs the start level's latency; returns
+        ``{index: (extra latency,)}`` for the lines that missed.
+        ``set_indices`` (start-level set indices aligned with
+        ``line_addrs``) is computed there when not supplied.
         """
-        first = self.levels[start_level]
-        if set_indices is None:
-            set_indices = first.set_indices(line_addrs)
-        n = len(line_addrs)
-        latencies = [first.latency] * n
-        access_lines = first.access_lines
-        i = access_lines(line_addrs, 0, update_replacement, observable, set_indices)
-        while i < n:
-            extra, _hit_level = self.read_miss_fill(
-                line_addrs[i], start_level, update_replacement, observable
-            )
-            latencies[i] += extra
-            i = access_lines(
-                line_addrs, i + 1, update_replacement, observable, set_indices
-            )
-        return latencies
+        return self.levels[start_level].access_lines(
+            line_addrs, self, start_level, update_replacement, observable,
+            set_indices,
+        )
 
     def write_lines(
         self,
@@ -214,28 +201,11 @@ class CacheHierarchy:
         observable: bool = True,
         set_indices=None,
     ):
-        """Batched :meth:`write_line`; returns per-line latencies."""
-        first = self.levels[start_level]
-        if set_indices is None:
-            set_indices = first.set_indices(line_addrs)
-        n = len(line_addrs)
-        latencies = [first.latency] * n
-        access_lines = first.access_lines
-        set_dirty = first.set_dirty
-        i = access_lines(
-            line_addrs, 0, update_replacement, observable, set_indices, True
+        """Batched :meth:`write_line`; returns what :meth:`read_lines` does."""
+        return self.levels[start_level].access_lines(
+            line_addrs, self, start_level, update_replacement, observable,
+            set_indices, True,
         )
-        while i < n:
-            line_addr = line_addrs[i]
-            extra, _hit_level = self.read_miss_fill(
-                line_addr, start_level, update_replacement, observable
-            )
-            latencies[i] += extra
-            set_dirty(line_addr)
-            i = access_lines(
-                line_addrs, i + 1, update_replacement, observable, set_indices, True
-            )
-        return latencies
 
     def write_line(
         self,

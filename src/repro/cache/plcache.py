@@ -112,7 +112,7 @@ class PartitionLockedCache(SetAssociativeCache):
         victim = cset.ways[victim_way]
         if victim is not None:
             del cset.by_addr[victim.line_addr]
-            self._departures += 1
+            cset.departures += 1
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.dirty_evictions += 1

@@ -119,11 +119,12 @@ class LRUPolicy(ReplacementPolicy):
     Touch contract: a touch is exactly ``_stamp += 1; _last_use[way] =
     _stamp``.  Three sites of the cache perform this update inline
     instead of calling :meth:`_rank_touch`: the batch kernels
-    :meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines` and
-    ``rmw_lines``, and the resident-sweep replay ``_replay_sweep``,
-    which advances each set's stamps for a whole DS sweep at once.  A
-    change to the touch arithmetic here must be made at all three;
-    every other policy is still touched through its methods.
+    :meth:`~repro.cache.set_assoc.SetAssociativeCache.access_lines`
+    (one touch per hit) and ``rmw_lines`` (a load+store pair's two
+    touches as one ``+2``), and the per-set replay ``_replay_sets``,
+    which advances a still-resident set's stamps for a whole DS sweep
+    at once.  A change to the touch arithmetic here must be made at all
+    three; every other policy is still touched through its methods.
     """
 
     __slots__ = ("_stamp", "_last_use")

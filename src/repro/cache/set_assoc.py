@@ -83,18 +83,33 @@ class CacheStats:
         self.evictions = other.evictions
         self.dirty_evictions = other.dirty_evictions
         self.invalidations = other.invalidations
-        self.set_accesses = dict(other.set_accesses)
+        self.set_accesses.clear()
+        self.set_accesses.update(other.set_accesses)
+
+
+class _Unrecorded:
+    """Set stand-in of a replay record with nothing recorded."""
+
+    __slots__ = ()
+    departures = -1  # never a live set's count
+
+
+_UNRECORDED = _Unrecorded()
 
 
 class _CacheSet:
     """Ways + replacement state for one set."""
 
-    __slots__ = ("ways", "policy", "by_addr", "touch")
+    __slots__ = ("ways", "policy", "by_addr", "touch", "departures")
 
     def __init__(self, num_ways: int, policy: ReplacementPolicy) -> None:
         self.ways: List[Optional[CacheLine]] = [None] * num_ways
         self.policy = policy
         self.by_addr: Dict[int, int] = {}  # line_addr -> way
+        #: monotonic count of resident lines leaving this set or having
+        #: their way reused (victim fills, invalidations); hits, dirty
+        #: transitions, refreshes and fills into empty ways leave it alone
+        self.departures = 0
         # Devirtualized replacement-touch for the hot hit path: every
         # stock policy's ``on_access`` is the base-class trampoline to
         # ``_rank_touch``, so bind the target directly and skip one
@@ -202,15 +217,10 @@ class SetAssociativeCache:
         self._live: List[int] = []
         self.events = EventBus(name)
         self.stats = CacheStats()
-        #: monotonic count of resident lines leaving or having their way
-        #: reused (victim fills, invalidations, restores); hits, dirty
-        #: transitions, refreshes and fills into empty ways leave it alone
-        self._departures = 0
-        #: ``id(lines) -> [lines, departures, plan]`` for every DS
-        #: ``lines`` tuple whose last start-of-batch sweep on this level
-        #: hit throughout; the entry pins the tuple, so the id cannot be
-        #: reused while the entry lives.  ``plan`` is built lazily by
-        #: :meth:`_sweep_plan` on the first :meth:`_replay_sweep`.
+        #: ``id(lines) -> [lines, per-set records, loop key, loop order,
+        #: looped records]`` for every DS ``lines`` tuple swept quietly
+        #: on this level (see :meth:`_replay_sets`); the entry pins the
+        #: tuple, so the id cannot be reused while the entry lives.
         self._resident_sweeps: Dict[int, list] = {}
 
     def _set_at(self, set_idx: int) -> _CacheSet:
@@ -325,26 +335,24 @@ class SetAssociativeCache:
     def access_lines(
         self,
         line_addrs,
-        start: int = 0,
+        hierarchy,
+        start_level: int = 0,
         update_replacement: bool = True,
         observable: bool = True,
         set_indices=None,
         mark_dirty: bool = False,
-    ) -> int:
-        """Batched :meth:`access` over ``line_addrs[start:]``.
+    ) -> Dict[int, Tuple[int]]:
+        """Batched :meth:`access` over all of ``line_addrs``, in one call.
 
-        Processes elements in order exactly as repeated ``access``
-        calls would, stopping at (and *recording*) the first miss:
-        returns the index of the missing element, or ``len(line_addrs)``
-        when every remaining element hits.  The caller (the hierarchy's
-        ``read_lines``/``write_lines``) handles the fill for the missing
-        element and resumes the batch after it.
-
-        ``set_indices`` supplies the set indices aligned with
-        ``line_addrs`` (:meth:`set_indices`, or a DS's cached copy);
-        callers that resume a batch pass the same list every time.
-        ``mark_dirty`` applies the write path's dirty transition to each
-        hit, emitting the same hit-then-dirty event order as
+        Processes elements in order exactly as repeated ``access`` calls
+        would; a miss is serviced in place by ``hierarchy``'s
+        ``read_miss_fill`` from ``start_level`` (this level's index in
+        it) and the batch continues.  Returns ``{index: (extra
+        latency,)}`` for the elements that missed, in order.  ``set_indices``
+        supplies the set indices aligned with ``line_addrs``
+        (:meth:`set_indices`, or a DS's cached copy).  ``mark_dirty``
+        applies the write path's dirty transition to each element
+        (``set_dirty`` after a miss), emitting the same event order as
         ``access`` + ``set_dirty``.
 
         Hot-path notes: all attribute lookups are hoisted out of the
@@ -352,34 +360,27 @@ class SetAssociativeCache:
         :class:`~repro.cache.replacement.LRUPolicy`), and the EventBus
         gate is read once per batch.  The gate is observationally safe:
         with no listeners at batch start none can appear mid-batch (the
-        simulator is single-threaded and a gated-off batch runs no
-        callbacks that could subscribe); with listeners present the emit
-        helpers iterate the *live* listener list per event, so a
-        mid-batch unsubscribe from inside a callback behaves exactly as
-        in the scalar path.
+        simulator is single-threaded and nothing on the access path
+        subscribes a listener); with listeners present the emit helpers
+        iterate the *live* listener list per event, so a mid-batch
+        unsubscribe from inside a callback behaves exactly as in the
+        scalar path.
 
-        Replay: a DS sweep (``line_addrs`` is a DS's ``lines`` tuple)
-        that starts at ``start == 0`` on a level with no listeners, with
-        LRU replacement or ``update_replacement=False``, and finds the
-        departure counter unchanged since that tuple's last all-hit
-        sweep here cannot miss — every line is still resident in the
-        way it was — so its effects are applied set by set
-        (:meth:`_replay_sweep`) instead of per line.  Any other sweep
-        runs the loop, and one that starts at 0 and hits throughout
-        records the tuple for later replays.
+        A DS sweep (``line_addrs`` is a DS's ``lines`` tuple) first
+        replays its still-resident sets (:meth:`_replay_sets`); only
+        the other sets' lines run the loop.
         """
-        n = len(line_addrs)
-        if (
-            start == 0
-            and type(line_addrs) is tuple
-            and self._replay_sweep(
-                line_addrs, set_indices, 1, update_replacement, observable,
-                mark_dirty,
-            )
-        ):
-            return n
         if set_indices is None:
             set_indices = self.set_indices(line_addrs)
+        if type(line_addrs) is tuple:
+            memo, order = self._replay_sets(
+                line_addrs, set_indices, 1, hierarchy, start_level,
+                update_replacement, observable, mark_dirty,
+            )
+            if not order:
+                return {}
+        else:
+            memo, order = None, range(len(line_addrs))
         sets = self._sets
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
@@ -387,7 +388,9 @@ class SetAssociativeCache:
         emit = events.has_listeners
         lru = update_replacement and self._lru
         touch = update_replacement and not lru
-        for i in range(start, n):
+        miss_fill = hierarchy.read_miss_fill
+        misses = {}
+        for i in order:
             line_addr = line_addrs[i]
             set_idx = set_indices[i]
             if set_accesses is not None:
@@ -396,8 +399,14 @@ class SetAssociativeCache:
             way = cset.by_addr.get(line_addr) if cset is not None else None
             if way is None:
                 stats.misses += 1
-                stats.hits += i - start
-                return i
+                extra, _hit_level = miss_fill(
+                    line_addr, start_level, update_replacement, observable
+                )
+                misses[i] = (extra,)
+                if mark_dirty:
+                    # a PLcache may have refused the fill: set_dirty re-probes
+                    self.set_dirty(line_addr)
+                continue
             if lru:
                 policy = cset.policy
                 stamp = policy._stamp + 1
@@ -415,55 +424,50 @@ class SetAssociativeCache:
                     line.dirty = True
                     if emit:
                         events.dirty(line_addr)
-        stats.hits += n - start
-        if start == 0 and type(line_addrs) is tuple:
-            self._record_sweep(line_addrs)
-        return n
+        stats.hits += len(order) - len(misses)
+        if memo is not None:
+            self._record_sets(memo, set_indices, misses, mark_dirty)
+        return misses
 
     def rmw_lines(
         self,
         line_addrs,
-        start: int = 0,
+        hierarchy,
+        start_level: int = 0,
         update_replacement: bool = True,
         observable: bool = True,
         set_indices=None,
-    ) -> int:
-        """Batched load+store :meth:`access` pairs over ``line_addrs[start:]``.
+    ) -> Dict[int, Tuple[int, int]]:
+        """Batched load+store :meth:`access` pairs over all of ``line_addrs``.
 
         Per element: one read access then one write access to the same
         line, with the write's dirty transition — the inner pair of a
-        read-modify-write sweep.  Processes elements in order exactly as
-        paired ``access`` calls would, stopping at (and *recording*) the
-        first load-phase miss: returns its index, or ``len(line_addrs)``
-        when every remaining pair hits.  A store access immediately
-        after its own load hit cannot miss (a touch evicts nothing), so
-        the load phase is the only exit point; the caller fills the
-        missing element (both phases, where a fill can be refused) and
-        resumes after it.
+        read-modify-write sweep — in order, exactly as paired ``access``
+        calls would.  A load-phase miss is serviced in place through
+        ``hierarchy`` (as in :meth:`access_lines`), and its store phase
+        then runs fully generally (a PLcache may have refused the fill,
+        so it can miss too).  Returns ``{index: (load extra latency,
+        store extra latency)}`` for the elements whose load missed, in
+        order.  A store access right after its own load hit cannot miss
+        (a touch evicts nothing), so pairs that hit skip the second tag
+        lookup.
 
         Shares :meth:`access_lines`'s set-index argument, inlined LRU
-        touch (on the listener-free path) and batch-gated event emission
-        with its safety argument, and skips the second tag lookup per
-        pair — the load hit already pinned down the way.  It also shares
-        the replay: a DS sweep starting at ``start == 0`` on a
-        listener-free level, with LRU replacement or
-        ``update_replacement=False``, and no departure since the tuple's
-        last all-hit sweep here is applied set by set with two accesses
-        per line; otherwise the loop runs and records an all-hit sweep
-        from 0.
+        touch (on the listener-free path), batch-gated event emission
+        with its safety argument, and the per-set replay of a DS
+        sweep's still-resident sets, with two accesses per line.
         """
-        n = len(line_addrs)
-        if (
-            start == 0
-            and type(line_addrs) is tuple
-            and self._replay_sweep(
-                line_addrs, set_indices, 2, update_replacement, observable,
-                True,
-            )
-        ):
-            return n
         if set_indices is None:
             set_indices = self.set_indices(line_addrs)
+        if type(line_addrs) is tuple:
+            memo, order = self._replay_sets(
+                line_addrs, set_indices, 2, hierarchy, start_level,
+                update_replacement, observable, True,
+            )
+            if not order:
+                return {}
+        else:
+            memo, order = None, range(len(line_addrs))
         sets = self._sets
         stats = self.stats
         set_accesses = stats.set_accesses if observable else None
@@ -471,7 +475,9 @@ class SetAssociativeCache:
         emit = events.has_listeners
         lru = update_replacement and self._lru
         touch = update_replacement and not lru
-        for i in range(start, n):
+        miss_fill = hierarchy.read_miss_fill
+        misses = {}
+        for i in order:
             line_addr = line_addrs[i]
             set_idx = set_indices[i]
             if set_accesses is not None:
@@ -482,8 +488,23 @@ class SetAssociativeCache:
                 if set_accesses is not None:
                     set_accesses[set_idx] = count + 1
                 stats.misses += 1
-                stats.hits += 2 * (i - start)
-                return i
+                extra, _hit_level = miss_fill(
+                    line_addr, start_level, update_replacement, observable
+                )
+                line = self.access(line_addr, update_replacement, observable)
+                if line is None:
+                    store_extra, _hit_level = miss_fill(
+                        line_addr, start_level, update_replacement, observable
+                    )
+                    self.set_dirty(line_addr)
+                else:
+                    store_extra = 0
+                    if not line.dirty:
+                        line.dirty = True
+                        if emit:
+                            events.dirty(line_addr)
+                misses[i] = (extra, store_extra)
+                continue
             line = cset.ways[way]
             if emit:
                 # Stepwise counter updates: a listener callback may read
@@ -515,83 +536,83 @@ class SetAssociativeCache:
                 line.dirty = True
                 if emit:
                     events.dirty(line_addr)
-        stats.hits += 2 * (n - start)
-        if start == 0 and type(line_addrs) is tuple:
-            self._record_sweep(line_addrs)
-        return n
+        stats.hits += 2 * (len(order) - len(misses))
+        if memo is not None:
+            self._record_sets(memo, set_indices, misses, True)
+        return misses
 
-    def _record_sweep(self, lines: tuple) -> None:
-        """Note that a sweep of ``lines`` from 0 just hit throughout."""
-        departures = self._departures
+    def _replay_sets(
+        self, lines, set_indices, step, hierarchy, start_level,
+        update_replacement, observable, mark_dirty,
+    ):
+        """Apply a DS sweep's effects on its still-resident sets in bulk.
+
+        Returns ``(memo, order)``: the indices of ``lines`` the per-line
+        loop must still visit, in sweep order, and the tuple's memo for
+        :meth:`_record_sets` (``None`` when nothing may be replayed or
+        recorded).  Only a DS ``lines`` tuple on a *quiet* sweep
+        qualifies: no listener on this level or any level below it, no
+        prefetcher, and LRU replacement or ``update_replacement=False``.
+        Then nothing but this sweep's own misses changes this level
+        while it runs, and a miss changes only its own set.
+
+        The memo lists the DS's sets in order of first appearance, each
+        as ``[set_idx, set object, departures, policy, ways, resident
+        lines, len(ways), all dirty, line indices]``, recorded after a
+        quiet sweep in which every line of the set hit.  A set whose
+        departure count is unchanged since then still holds every line
+        in the way recorded (:meth:`restore_state` and :meth:`clean`
+        drop the records), so it is replayed; the result equals the
+        per-line loop's: ``step`` hits per line (1 for a load or store
+        sweep, 2 for read-modify-write pairs), ``step * k`` accesses on a
+        set visited ``k`` times (after a stats reset, the DS's missing
+        keys are first added in sweep order, as the loop would), the
+        LRU touch arithmetic of :class:`~repro.cache.replacement.LRUPolicy`
+        run in sweep order (``step`` stamps per line, the last one
+        recorded), and the dirty bit set on every line of a writing
+        sweep (no listener is attached, so no dirty event is due; a
+        record remembers that its lines are all dirty, since only
+        :meth:`clean` clears a dirty bit).
+        Sets are independent while the sweep is quiet, so replaying one
+        before the loop visits the others changes nothing observable.
+        """
+        n = len(lines)
+        if (
+            self.events.has_listeners
+            or (update_replacement and not self._lru)
+            or hierarchy.prefetcher is not None
+        ):
+            return None, range(n)
+        for lower in hierarchy.levels[start_level + 1:]:
+            if lower.events.has_listeners:
+                return None, range(n)
         memo = self._resident_sweeps.get(id(lines))
         if memo is None:
-            self._resident_sweeps[id(lines)] = [lines, departures, None]
-        elif memo[1] != departures:
-            memo[1] = departures
-            memo[2] = None  # ways may have changed since the plan
-
-    def _sweep_plan(self, lines: tuple, set_indices):
-        """Where every line of ``lines`` sits: ``(per-set plan, lines)``.
-
-        The per-set plan lists ``(set_idx, policy, ways, len(ways))`` in
-        order of each set's first appearance in the sweep, ``ways`` in
-        sweep order; the second item holds the resident :class:`CacheLine`
-        objects.  Valid until the departure counter moves.
-        """
-        if set_indices is None:
-            set_indices = self.set_indices(lines)
-        sets = self._sets
-        ways_by_set: Dict[int, List[int]] = {}
-        resident: List[CacheLine] = []
-        for line_addr, set_idx in zip(lines, set_indices):
-            cset = sets[set_idx]
-            way = cset.by_addr[line_addr]
-            ways = ways_by_set.get(set_idx)
-            if ways is None:
-                ways = ways_by_set[set_idx] = []
-            ways.append(way)
-            resident.append(cset.ways[way])
-        per_set = [
-            (set_idx, sets[set_idx].policy, tuple(ways), len(ways))
-            for set_idx, ways in ways_by_set.items()
-        ]
-        return per_set, resident
-
-    def _replay_sweep(
-        self, lines, set_indices, step, update_replacement, observable,
-        mark_dirty,
-    ) -> bool:
-        """Apply a resident DS sweep's exact effects set by set, if safe.
-
-        Replays only a DS ``lines`` tuple recorded by
-        :meth:`_record_sweep` with the departure counter unchanged since
-        (so every line is still resident in the way the plan names), on
-        a level with no listeners, with LRU replacement or
-        ``update_replacement=False``; returns False, changing nothing,
-        otherwise.  ``step`` is the accesses per line (1 for a load or
-        store sweep, 2 for read-modify-write pairs).  The result equals
-        the per-line loop's: ``step`` hits per line, ``step * k``
-        accesses on a set the sweep visits ``k`` times, the LRU touch
-        arithmetic of :class:`~repro.cache.replacement.LRUPolicy` run in
-        sweep order (``step`` stamps per line, the last one recorded),
-        and the dirty bit set on every line of a writing sweep (no
-        listener is attached, so no dirty event is due).
-        """
-        if self.events.has_listeners or (update_replacement and not self._lru):
-            return False
-        memo = self._resident_sweeps.get(id(lines))
-        if memo is None or memo[1] != self._departures:
-            return False
-        plan = memo[2]
-        if plan is None:
-            plan = memo[2] = self._sweep_plan(lines, set_indices)
-        per_set, resident = plan
-        stats = self.stats
-        stats.hits += step * len(resident)
-        set_accesses = stats.set_accesses if observable else None
-        for set_idx, policy, ways, k in per_set:
+            by_set: Dict[int, List[int]] = {}
+            for i, set_idx in enumerate(set_indices):
+                by_set.setdefault(set_idx, []).append(i)
+            recs = [
+                [s, _UNRECORDED, 0, None, (), (), 0, False, tuple(idx)]
+                for s, idx in by_set.items()
+            ]
+            memo = self._resident_sweeps[id(lines)] = [lines, recs, None, (), recs]
+            return memo, range(n)
+        set_accesses = self.stats.set_accesses if observable else None
+        looped = []
+        for rec in memo[1]:
+            set_idx, cset, departures, policy, ways, resident, k, dirty, _ = rec
+            if cset.departures != departures:
+                looped.append(rec)
+                continue
             if set_accesses is not None:
-                set_accesses[set_idx] = set_accesses.get(set_idx, 0) + step * k
+                try:
+                    set_accesses[set_idx] += step * k
+                except KeyError:
+                    # A stats reset emptied the profile: add the DS's
+                    # missing keys in sweep order, as the loop would.
+                    for other in memo[1]:
+                        set_accesses.setdefault(other[0], 0)
+                    set_accesses[set_idx] += step * k
             if update_replacement:
                 stamp = policy._stamp
                 last_use = policy._last_use
@@ -599,10 +620,42 @@ class SetAssociativeCache:
                     stamp += step
                     last_use[way] = stamp
                 policy._stamp = stamp
-        if mark_dirty:
-            for line in resident:
-                line.dirty = True
-        return True
+            if mark_dirty and not dirty:
+                for line in resident:
+                    line.dirty = True
+                rec[7] = True
+        memo[4] = looped
+        if not looped:
+            self.stats.hits += step * n
+            return memo, ()
+        if len(looped) == len(memo[1]):
+            return memo, range(n)
+        key = [rec[0] for rec in looped]
+        if key != memo[2]:
+            memo[2] = key
+            memo[3] = sorted([i for rec in looped for i in rec[8]])
+        self.stats.hits += step * (n - len(memo[3]))
+        return memo, memo[3]
+
+    def _record_sets(self, memo, set_indices, misses, dirty) -> None:
+        """Record the sets of a quiet sweep's loop whose lines all hit.
+
+        ``dirty``: the sweep wrote, so every recorded line is dirty.
+        """
+        missed = {set_indices[i] for i in misses}
+        lines = memo[0]
+        sets = self._sets
+        for rec in memo[4]:
+            set_idx = rec[0]
+            if set_idx in missed:
+                rec[1] = _UNRECORDED
+                continue
+            cset = sets[set_idx]
+            ways = [cset.by_addr[lines[i]] for i in rec[8]]
+            rec[1:8] = (
+                cset, cset.departures, cset.policy, ways,
+                [cset.ways[w] for w in ways], len(ways), dirty,
+            )
 
     def fill(
         self, line_addr: int, dirty: bool = False
@@ -636,7 +689,7 @@ class SetAssociativeCache:
         victim = cset.ways[victim_way]
         if victim is not None:
             del cset.by_addr[victim.line_addr]
-            self._departures += 1
+            cset.departures += 1
             stats.evictions += 1
             if victim.dirty:
                 stats.dirty_evictions += 1
@@ -668,6 +721,8 @@ class SetAssociativeCache:
         if line is None or not line.dirty:
             return False
         line.dirty = False
+        # Replay records take a written line to stay dirty until it leaves.
+        self._resident_sweeps.clear()
         if self.events.has_listeners:
             self.events.clean(line_addr)
         return True
@@ -682,7 +737,7 @@ class SetAssociativeCache:
             return None
         line = cset.ways[way]
         cset.ways[way] = None
-        self._departures += 1
+        cset.departures += 1
         cset.policy.on_invalidate(way)
         self.stats.invalidations += 1
         self.events.invalidate(line_addr)
@@ -807,7 +862,8 @@ class SetAssociativeCache:
             sets[set_idx] = cset
         self._sets = sets
         self._live = [set_idx for set_idx, _, _ in state.sets]
-        self._departures += 1  # every line is a new object now
+        # Every set and line is a new object now: drop the replay records.
+        self._resident_sweeps.clear()
         self.stats.load_from(state.stats)
         self._restore_extra(state.extra)
 

@@ -75,14 +75,24 @@ def _exact_sum(cycles, n, pre_cycles, total):
     return None
 
 
-def _charge_latencies(cycles, pre_cycles, latencies):
-    """``cycles`` after a batch's per-element pre-work and latencies."""
-    charged = _exact_sum(cycles, len(latencies), pre_cycles, sum(latencies))
+def _charge_batch(cycles, pre_cycles, latency, n, accesses, misses):
+    """``cycles`` after a cache-kernel batch of ``n`` elements.
+
+    Each element is charged ``pre_cycles`` (the preceding ``execute``),
+    then ``latency`` (the start level's) plus the extra miss latency of
+    each of its ``accesses`` start-level accesses; ``misses`` maps the
+    index of every element that missed to those extras, as the kernels
+    return it.
+    """
+    total = accesses * latency * n + sum(map(sum, misses.values()))
+    charged = _exact_sum(cycles, n, pre_cycles, total)
     if charged is not None:
         return charged
-    for lat in latencies:
+    hit = (0,) * accesses
+    for i in range(n):
         cycles += pre_cycles
-        cycles += lat
+        for extra in misses.get(i, hit):
+            cycles += latency + extra
     return cycles
 
 
@@ -380,9 +390,9 @@ class Machine:
     # Python round-trip (execute + load_word per DS line) dominated
     # every sweep-heavy figure; hoisting attribute lookups and folding
     # the per-element counter updates into one batch update recovers
-    # most of that overhead.  Cycles are charged once per all-hit run
-    # when that sum is exact (``_exact_sum``), else per element in the
-    # scalar order.  Machines with a sliced LLC fall back to the scalar
+    # most of that overhead.  Cycles are charged once per batch when
+    # that sum is exact (``_exact_sum``), else per element in the scalar
+    # order (``_charge_batch``).  Machines with a sliced LLC fall back to the scalar
     # loop: slice-traffic recording depends on each access's individual
     # hit level.
 
@@ -422,7 +432,8 @@ class Machine:
         if lines is None:
             mask = _LINE_BASE_MASK
             lines = [a & mask for a in addrs]
-        latencies = self.hierarchy.read_lines(
+        hier = self.hierarchy
+        misses = hier.read_lines(
             lines, start_level, not secret_dependent, set_indices=set_indices
         )
         stats = self.stats
@@ -431,8 +442,9 @@ class Machine:
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        stats.cycles = _charge_latencies(
-            stats.cycles, pre_insts * self.costs.cpi, latencies
+        stats.cycles = _charge_batch(
+            stats.cycles, pre_insts * self.costs.cpi,
+            hier.levels[start_level].latency, n, 1, misses,
         )
         if not collect_values:
             return None
@@ -466,9 +478,8 @@ class Machine:
             return
         mask = _LINE_BASE_MASK
         lines = [a & mask for a in addrs]
-        latencies = self.hierarchy.write_lines(
-            lines, start_level, not secret_dependent
-        )
+        hier = self.hierarchy
+        misses = hier.write_lines(lines, start_level, not secret_dependent)
         self.memory.write_words(addrs, values)
         stats = self.stats
         per = pre_insts + 1
@@ -476,8 +487,9 @@ class Machine:
         stats.l1d_refs += n
         stats.insts += n * per
         stats.l1i_refs += n * per
-        stats.cycles = _charge_latencies(
-            stats.cycles, pre_insts * self.costs.cpi, latencies
+        stats.cycles = _charge_batch(
+            stats.cycles, pre_insts * self.costs.cpi,
+            hier.levels[start_level].latency, n, 1, misses,
         )
 
     def rmw_words(
@@ -517,8 +529,9 @@ class Machine:
 
         The pairs stay fused (load and store of element i before the
         load of element i+1) because the store's events must interleave
-        with the loads' exactly as in the scalar path; the all-hit runs
-        go through the cache's fused pair kernel
+        with the loads' exactly as in the scalar path; outside the
+        silent-store and sliced-LLC loops, the whole batch is one call
+        of the cache's fused pair kernel
         (:meth:`~repro.cache.set_assoc.SetAssociativeCache.rmw_lines`).
         """
         n = len(addrs)
@@ -614,74 +627,31 @@ class Machine:
             stats.insts += n * per
             stats.l1i_refs += n * per
             return out
-        rmw_run = first.rmw_lines
-        if set_indices is None:
-            set_indices = first.set_indices(lines)
+        # One kernel call runs every pair, servicing misses in place;
+        # charge the cycles, then the memory traffic.
+        misses = first.rmw_lines(
+            lines, hier, start_level, update, True, set_indices
+        )
+        cycles = _charge_batch(cycles, pre_cycles, first_lat, n, 2, misses)
         out = [None] * n
-        i = 0
-        while i < n:
-            nxt = rmw_run(lines, i, update, True, set_indices)
-            # Completed all-hit pairs [i, nxt): charge their cycles,
-            # then the memory traffic.
-            run = nxt - i
-            charged = _exact_sum(cycles, run, pre_cycles, 2 * first_lat * run)
-            if charged is None:
-                for _ in range(run):
-                    cycles += pre_cycles
-                    cycles += first_lat
-                    cycles += first_lat
+        if values is not None:
+            if collect_values:
+                for j in range(n):
+                    out[j] = read(addrs[j])
+                    write(addrs[j], values[j])
             else:
-                cycles = charged
-            if values is not None:
-                if collect_values:
-                    for j in range(i, nxt):
-                        out[j] = read(addrs[j])
-                        write(addrs[j], values[j])
-                else:
-                    write_words(addrs[i:nxt], values[i:nxt])
-            elif collect_values:
-                for j in range(i, nxt):
-                    v = read(addrs[j])
-                    out[j] = v
-                    if j == target_idx:
-                        write(addrs[j], target_fn(v))
-            elif i <= target_idx < nxt:
-                a = addrs[target_idx]
-                v = read(a)
-                out[target_idx] = v
-                write(a, target_fn(v))
-            if nxt == n:
-                break
-            # Element nxt's load access missed (already recorded by the
-            # kernel); fill and run its store phase fully generally —
-            # a PLcache can refuse the fill.
-            a = addrs[nxt]
-            line = lines[nxt]
-            if pre_cycles:
-                cycles += pre_cycles
-            extra, _hit_level = miss_fill(line, start_level, update, True)
-            cycles += first_lat + extra
-            if collect_values or nxt == target_idx:
-                v = read(a)
-                out[nxt] = v
-            if values is not None:
-                new = values[nxt]
-            else:
-                new = target_fn(out[nxt]) if nxt == target_idx else out[nxt]
-            hit = first_access(line, update, True)
-            if hit is not None:
-                cycles += first_lat
-                if not hit.dirty:
-                    hit.dirty = True
-                    if first_events.has_listeners:
-                        first_events.dirty(line)
-            else:
-                extra, _hit_level = miss_fill(line, start_level, update, True)
-                cycles += first_lat + extra
-                first_set_dirty(line)
-            if values is not None or nxt == target_idx or collect_values:
-                write(a, new)
-            i = nxt + 1
+                write_words(addrs, values)
+        elif collect_values:
+            for j in range(n):
+                v = read(addrs[j])
+                out[j] = v
+                if j == target_idx:
+                    write(addrs[j], target_fn(v))
+        elif 0 <= target_idx < n:
+            a = addrs[target_idx]
+            v = read(a)
+            out[target_idx] = v
+            write(a, target_fn(v))
         stats.cycles = cycles
         per = pre_insts + 2
         stats.loads += n

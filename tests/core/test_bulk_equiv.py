@@ -7,8 +7,9 @@ loops they replace: same counters, same event traces (when anyone
 listens), same final cache state, same per-set access profiles, same
 memory image, same returned values.  These properties drive both paths
 on twin machines over Hypothesis-generated configurations — replacement
-policies, set geometries, silent-store machines, secret-dependent
-flags, listener presence (plus PLcache and sliced-LLC machines for
+policies, set geometries, silent-store machines, next-line prefetchers,
+inclusive LLCs small enough to back-invalidate, secret-dependent flags,
+listener presence (plus PLcache and sliced-LLC machines for
 ``rmw_words(values=...)``) — and diff everything an attacker (or a
 figure) could read.
 
@@ -41,20 +42,30 @@ POLICIES = ["lru", "fifo", "random", "plru"]
 #: sums depend on addition order.
 CPIS = [1.0, 0.7]
 
+#: an inclusive LLC (with an L2 to match) smaller than the 32 KiB arena,
+#: so LLC evictions back-invalidate lines the L1d and L2 still hold
+INCLUSIVE_LLC = dict(
+    inclusive_llc=True, l2_size=8192, l2_assoc=4, llc_size=16384, llc_assoc=4
+)
+
 configs = st.builds(
-    lambda geom, policy, silent, seed, cpi: MachineConfig(
+    lambda geom, policy, silent, seed, cpi, prefetcher, inclusive: MachineConfig(
         l1d_size=geom[0],
         l1d_assoc=geom[1],
         replacement=policy,
         silent_stores=silent,
         replacement_seed=seed,
         costs=CostModel(cpi=cpi),
+        prefetcher=prefetcher,
+        **(INCLUSIVE_LLC if inclusive else {}),
     ),
     geom=st.sampled_from(GEOMETRIES),
     policy=st.sampled_from(POLICIES),
     silent=st.booleans(),
     seed=st.integers(min_value=0, max_value=3),
     cpi=st.sampled_from(CPIS),
+    prefetcher=st.booleans(),
+    inclusive=st.booleans(),
 )
 
 addr_seqs = st.lists(
@@ -252,43 +263,94 @@ class TestRmwWords:
 
 #: departure-causing steps taken between re-sweeps of a DS
 DEPARTURES = ["evict_l1d", "evict_l2", "flush", "conflict", "restore"]
+#: ... plus attaching a trace recorder to the L1d, a stats reset, and a
+#: write-back that cleans a DS line in the L1d
+STEPS = DEPARTURES + ["listen", "reset", "clean"]
 #: size of the re-swept DS: it fits the L1d of every geometry drawn
 RESWEEP_DS_LINES = 48
 
 
-def _check_resweeps(config, steps, listeners):
-    """Software-CT sweeps of one resident DS vs the scalar reference.
+def _sweep_twins(config, listeners, ds_lines):
+    """Twins, a software-CT context on the first, and a DS on the arena.
 
-    A cache level replays a DS re-sweep set by set when none of its
-    lines can have left since the DS's last all-hit sweep there.  Each
-    step is ``(departure, sweep kind, line index)``: before the sweep
-    both twins take the same departure-causing step, if any — an
-    attacker eviction of a DS line at L1D or L2, an attacker flush,
-    conflicting loads from outside the DS that fill a DS line's L1d
-    set, or a save/restore round trip.
+    The DS holds the arena lines at the indices ``ds_lines``; the
+    second twin is the scalar reference :func:`_sweep_both` drives.
     """
+    from repro.ct.ds import DataflowLinearizationSet
     from repro.ct.linearize import SoftwareCTContext
 
     (ma, mb), (ra, rb), base = _twins(config, listeners)
-    # Lines outside the DS: ``outside + off`` maps to the same L1d set
-    # as ``base + off`` (32 KiB apart, a multiple of every L1d way size
-    # drawn), and ``assoc`` of them a way apart fill a set.
-    way_bytes = config.l1d_size // config.l1d_assoc
-    outside = [m.allocator.alloc(config.l1d_size, "outside")
-               for m in (ma, mb)][0]
     ctx = SoftwareCTContext(ma, simd=True)
-    ds = ctx.register_ds(base, RESWEEP_DS_LINES * 64, "arena")
+    ds = DataflowLinearizationSet([base + 64 * i for i in ds_lines], "arena")
+    return ma, mb, ra, rb, base, ctx, ds
+
+
+def _sweep_both(ctx, mb, ds, kind, addr, new_value=1234):
+    """One software-CT ``kind`` op on ``ctx`` and its scalar reference.
+
+    A ``"store"`` writes ``new_value``; an ``"rmw"`` adds 7.
+    """
     costs = mb.costs
     elem = costs.ct_simd_elem_insts
     store_elem = elem + costs.ct_store_elem_extra_insts
     fn = lambda v: (v + 7) & 0xFFFFFFFF  # noqa: E731
+    if kind == "load":
+        got = ctx.load(ds, addr)
+    elif kind == "store":
+        ctx.store(ds, addr, new_value)
+    else:
+        got = ctx.rmw(ds, addr, fn)
+    # scalar reference: visit + per-line (execute; load[; store])
+    mb.execute(costs.ct_visit_insts)
+    off = addr % 64
+    want = None
+    for ln in ds.lines:
+        a = ln + off
+        mb.execute(elem if kind == "load" else store_elem)
+        v = mb.load_word(a)
+        if a == addr:
+            want = v
+        if kind != "load":
+            if a != addr:
+                new = v
+            elif kind == "rmw":
+                new = fn(v)
+            else:
+                new = new_value
+            mb.store_word(a, new)
+    if kind != "store":
+        assert got == want
+
+
+def _check_resweeps(config, steps, listeners, ds_lines=RESWEEP_DS_LINES):
+    """Software-CT sweeps of one DS vs the scalar reference.
+
+    A cache level replays a DS re-sweep's sets whose lines cannot have
+    left since they all hit in the DS's previous sweep there.  Each
+    step is ``(departure, sweep kind, line index)``: before the sweep
+    both twins take the same step, if any — an attacker eviction of a
+    DS line at L1D or L2, an attacker flush, conflicting loads from
+    outside the DS that fill a DS line's L1d set, a save/restore round
+    trip, attaching a trace recorder to the L1d only (whose events are
+    compared too), a stats reset, or cleaning the line in the L1d.
+    Returns the twins.
+    """
+    ma, mb, ra, rb, base, ctx, ds = _sweep_twins(
+        config, listeners, range(ds_lines)
+    )
+    # Lines outside the DS: ``outside + off`` maps to the same L1d set
+    # as ``base + off`` (a multiple of every L1d way size drawn away),
+    # and ``assoc`` of them a way apart fill a set.
+    way_bytes = config.l1d_size // config.l1d_assoc
+    outside = [m.allocator.alloc(config.l1d_size, "outside")
+               for m in (ma, mb)][0]
+    late = ([], [])  # recorders attached by "listen" steps, per twin
 
     # Two leading loads fill the DS and record its all-hit sweep, so the
     # first drawn sweep may already replay.
     for departure, kind, line_idx in [(None, "load", 0)] * 2 + steps:
-        off = 4 * (line_idx % 16)
-        addr = base + 64 * line_idx + off
-        for m in (ma, mb) if departure else ():
+        addr = base + 64 * line_idx + 4 * (line_idx % 16)
+        for m, recs in zip((ma, mb), late) if departure else ():
             if departure == "evict_l1d":
                 m.attacker_evict("L1D", addr)
             elif departure == "evict_l2":
@@ -299,35 +361,29 @@ def _check_resweeps(config, steps, listeners):
                 for way in range(config.l1d_assoc):
                     m.load_word(outside + (64 * line_idx) % way_bytes
                                 + way * way_bytes)
+            elif departure == "listen":
+                recs.append(ObservableTraceRecorder())
+                recs[-1].attach(m.l1d)
+            elif departure == "reset":
+                m.reset_stats()
+            elif departure == "clean":
+                m.l1d.clean(addr - addr % 64)
             else:
                 m.restore_state(m.save_state())
-        if kind == "load":
-            got = ctx.load(ds, addr)
-        elif kind == "store":
-            ctx.store(ds, addr, 1234 + line_idx)
-        else:
-            got = ctx.rmw(ds, addr, fn)
-        # scalar reference: visit + per-line (execute; load[; store])
-        mb.execute(costs.ct_visit_insts)
-        want = None
-        for ln in ds.lines:
-            a = ln + off
-            mb.execute(elem if kind == "load" else store_elem)
-            v = mb.load_word(a)
-            if a == addr:
-                want = v
-            if kind != "load":
-                if a != addr:
-                    new = v
-                elif kind == "rmw":
-                    new = fn(v)
-                else:
-                    new = 1234 + line_idx
-                mb.store_word(a, new)
-        if kind != "store":
-            assert got == want
+        _sweep_both(ctx, mb, ds, kind, addr, 1234 + line_idx)
     _assert_observably_equal(ma, mb, ra, rb, base, "re-sweep")
     _assert_same_lru_stamps(ma, mb, "re-sweep")
+    for rec_a, rec_b in zip(*late):
+        assert rec_a.events == rec_b.events
+    return ma, mb
+
+
+def _assert_same_profile_order(ma, mb):
+    """Per-set profiles gained their keys in the same (sweep) order."""
+    for lvl in ("L1D", "L2", "LLC"):
+        assert list(ma.hierarchy.level(lvl).stats.set_accesses) == list(
+            mb.hierarchy.level(lvl).stats.set_accesses
+        ), lvl
 
 
 class TestCTSweepOps:
@@ -431,6 +487,33 @@ class TestCTSweepOps:
         config = replace(config, replacement="lru", plcache=plcache)
         _check_resweeps(config, steps, listeners)
 
+    @given(config=configs, geom=st.sampled_from(GEOMETRIES[:3]),
+           plcache=st.booleans(), steps=st.lists(
+        st.tuples(st.one_of(st.none(), st.sampled_from(STEPS)),
+                  st.sampled_from(["load", "store", "rmw"]),
+                  st.integers(0, ARENA_LINES - 1)),
+        min_size=1, max_size=12,
+    ), listeners=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_partially_resident_resweeps_match_scalar_reference(
+        self, config, geom, plcache, steps, listeners
+    ):
+        """Re-sweeps of a DS that overflows half the L1d sets.
+
+        Every set holds ``assoc`` DS lines and half of them one more, so
+        each sweep misses in the overflowing sets while the others may
+        replay — the Fig. 7a crossover regime.  (The Table-1 geometry
+        is left out: its overflowing DS would not fit the arena.)
+        """
+        size, assoc = geom
+        config = replace(config, l1d_size=size, l1d_assoc=assoc,
+                         replacement="lru", plcache=plcache)
+        ds_lines = size // 64 + size // (64 * assoc) // 2
+        steps = [(dep, kind, i % ds_lines) for dep, kind, i in steps]
+        _assert_same_profile_order(
+            *_check_resweeps(config, steps, listeners, ds_lines)
+        )
+
     @pytest.mark.parametrize("plcache", [False, True])
     @pytest.mark.parametrize("departure", DEPARTURES)
     def test_each_departure_is_seen_by_the_next_sweep(self, departure,
@@ -440,6 +523,78 @@ class TestCTSweepOps:
         steps = [(None, "load", 3), (departure, "rmw", 3),
                  (None, "store", 5), (None, "load", 7)]
         _check_resweeps(config, steps, listeners=False)
+
+    @pytest.mark.parametrize("step", ["restore", "listen", "reset", "clean"])
+    def test_step_between_partially_resident_sweeps(self, step):
+        """Pinned: a 4 KiB 4-way L1d with half its sets overflowing.
+
+        A save/restore round trip swaps in new set and line objects, an
+        attached recorder must see every event, a stats reset empties
+        the per-set profiles, and a clean line must be dirtied again:
+        the sweeps after each step must not replay from the records
+        taken before it as they were.  Sets 0-7 hold five DS lines each
+        and miss on every sweep; the step acts on line 10, in set 10,
+        which holds four and replays.
+        """
+        config = MachineConfig(l1d_size=4096, l1d_assoc=4)
+        steps = [(None, "load", 10), (None, "rmw", 10), (step, "rmw", 10),
+                 (None, "store", 5), (None, "load", 7)]
+        _assert_same_profile_order(
+            *_check_resweeps(config, steps, listeners=False, ds_lines=72)
+        )
+
+    def test_mid_sweep_prefetch_is_not_replayed_over(self):
+        """Pinned: a prefetch fill mid-sweep evicts from a resident set.
+
+        4 KiB 4-way L1d (16 sets).  The DS is arena lines 0-63 without
+        21, plus 69, so set 5 holds DS lines 5, 37, 53 and 69.  Line 20
+        (set 4) is flushed before the fifth sweep: its miss reaches DRAM
+        and prefetches line 21 into set 5, evicting whichever DS line is
+        least recently used at that point of the sweep.  Applying set
+        5's touches before the loop would pick another victim.  (Later
+        LRU cascades can hide the difference, so every sweep is
+        checked.)
+        """
+        config = MachineConfig(l1d_size=4096, l1d_assoc=4, prefetcher=True)
+        ds_lines = [i for i in range(64) if i != 21] + [69]
+        ma, mb, ra, rb, base, ctx, ds = _sweep_twins(config, False, ds_lines)
+        # Cold-sweep prefetches disturb sets 5 and 6 until the third
+        # sweep, which hits throughout there.
+        for step in ("load", "load", "load", "load", "flush", "load", "rmw"):
+            for m in (ma, mb):
+                if step == "flush":
+                    m.attacker_flush(base + 64 * 20)
+            if step in ("load", "rmw"):
+                _sweep_both(ctx, mb, ds, step, base + 64 * 37)
+                _assert_observably_equal(ma, mb, ra, rb, base, "prefetch")
+                _assert_same_lru_stamps(ma, mb, "prefetch")
+
+    def test_mid_sweep_back_invalidation_is_not_replayed_over(self):
+        """Pinned: an inclusive-LLC eviction mid-sweep empties a set.
+
+        The LLC is one 4-way set, so an LLC line leaves in fill order
+        however often the L1d hits it.  The DS is arena lines 0-2, one
+        per L1d set.  Line 0 is flushed and two outside lines fill the
+        LLC behind lines 1 and 2, so the next sweep's miss on line 0
+        evicts line 1 from the LLC and back-invalidates it from the
+        L1d before the sweep reaches it: line 1 must miss.
+        """
+        config = MachineConfig(
+            l1d_size=4096, l1d_assoc=4, l2_size=1024, l2_assoc=4,
+            llc_size=256, llc_assoc=4, inclusive_llc=True,
+        )
+        ma, mb, ra, rb, base, ctx, ds = _sweep_twins(config, False, range(3))
+        for step in ("load", "load", "flush", "outside", "load", "rmw"):
+            for m in (ma, mb):
+                if step == "flush":
+                    m.attacker_flush(base)
+                elif step == "outside":
+                    m.load_word(base + 64 * 3)
+                    m.load_word(base + 64 * 4)
+            if step in ("load", "rmw"):
+                _sweep_both(ctx, mb, ds, step, base + 64)
+                _assert_observably_equal(ma, mb, ra, rb, base, "back-inval")
+                _assert_same_lru_stamps(ma, mb, "back-inval")
 
 
 class TestSweepWrappers:

@@ -150,6 +150,25 @@ class TestSnapshotIsolation:
         assert self._words(machine) == original
 
 
+class TestRestoreInPlace:
+    def test_held_set_profile_sees_restored_values(self, machine):
+        """A reference to a level's per-set profile, held across
+        ``restore_state``, reads the restored profile (the Figure 10
+        and sanitizer paths read it through long-lived references)."""
+        held = [c.stats.set_accesses for c in machine.hierarchy.levels]
+        machine.load_word(0x10000)  # L1d set 0
+        state = machine.save_state()
+        saved = [dict(profile) for profile in held]
+        machine.load_word(0x12000)  # set 0 again, one L1d way further
+        machine.load_word(0x10040)  # set 1
+        assert held[0] == {0: 2, 1: 1}
+        machine.restore_state(state)
+        assert held[0] == {0: 1}
+        for cache, profile, want in zip(machine.hierarchy.levels, held, saved):
+            assert cache.stats.set_accesses is profile
+            assert profile == want
+
+
 class TestAttackerActor:
     def test_attacker_not_in_victim_stats(self, machine):
         machine.attacker_load(0x10000)

@@ -11,6 +11,11 @@ bulk paths against each other.  Two machines are covered:
 * ``tiny`` -- 512 B L1d / 1 KiB L2 / 2 KiB LLC, so the same programs
   miss at every level, reach DRAM and write dirty victims back.
 
+``CROSSOVER`` adds the one regime neither covers: Dijkstra at 128
+vertices on the Table-1 machine (the Fig. 7a crossover), whose
+1,024-line adjacency DS overflows some L1d sets while the rest stay
+resident, so every software-CT sweep mixes hits and L2 refills.
+
 The values were recorded from the simulator before its bulk kernels
 were last optimised; a legitimate model change must re-record them and
 say why.
@@ -209,6 +214,17 @@ GOLDEN = {
 }
 
 
+#: (workload, size, scheme) -> counters in ``KEYS`` order, Table-1 machine
+CROSSOVER = {
+    ("dijkstra", 128, "ct"): (
+        1918716, 1446276, 1108456, 179832, 18288, 18288, 0, 0, 0, 0, 0, 0, 0
+    ),
+    ("dijkstra", 128, "ct-scalar"): (
+        2314956, 1842516, 1108456, 179832, 18288, 18288, 0, 0, 0, 0, 0, 0, 0
+    ),
+}
+
+
 def _config(machine: str, scheme: str):
     if machine == "table1":
         return None  # the scheme's own Table-1 machine
@@ -235,4 +251,13 @@ def test_counters_match_golden(machine, workload, scheme):
     got = tuple(result.counters[k] for k in KEYS)
     assert dict(zip(KEYS, got)) == dict(
         zip(KEYS, GOLDEN[machine, workload, scheme])
+    )
+
+
+@pytest.mark.parametrize("workload, size, scheme", sorted(CROSSOVER))
+def test_crossover_counters_match_golden(workload, size, scheme):
+    result = run_workload(workload, size, scheme, seed=1)
+    got = tuple(result.counters[k] for k in KEYS)
+    assert dict(zip(KEYS, got)) == dict(
+        zip(KEYS, CROSSOVER[workload, size, scheme])
     )
